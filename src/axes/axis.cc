@@ -366,4 +366,68 @@ bool AxisRelates(const Document& doc, Axis axis, NodeId x, NodeId y) {
   return false;
 }
 
+void AppendAxisRow(const Document& doc, Axis axis, NodeId x,
+                   std::span<const NodeId> ys, std::vector<NodeId>* out) {
+  // ys ∩ [lo, hi), filtered by the relation.
+  auto scan = [&](NodeId lo, NodeId hi) {
+    for (auto it = std::lower_bound(ys.begin(), ys.end(), lo);
+         it != ys.end() && *it < hi; ++it) {
+      if (AxisRelates(doc, axis, x, *it)) out->push_back(*it);
+    }
+  };
+  auto probe = [&](NodeId y) {
+    if (std::binary_search(ys.begin(), ys.end(), y)) out->push_back(y);
+  };
+  switch (axis) {
+    case Axis::kSelf:
+      probe(x);
+      return;
+    case Axis::kParent:
+      if (doc.parent(x) != kInvalidNodeId) probe(doc.parent(x));
+      return;
+    case Axis::kAncestor:
+    case Axis::kAncestorOrSelf: {
+      // The walk meets x and its ancestors in reverse document order.
+      const size_t begin = out->size();
+      if (axis == Axis::kAncestorOrSelf) probe(x);
+      for (NodeId p = doc.parent(x); p != kInvalidNodeId; p = doc.parent(p)) {
+        probe(p);
+      }
+      std::reverse(out->begin() + static_cast<ptrdiff_t>(begin), out->end());
+      return;
+    }
+    case Axis::kChild:
+    case Axis::kDescendant:
+      scan(x + 1, doc.subtree_end(x));
+      return;
+    case Axis::kDescendantOrSelf:
+      scan(x, doc.subtree_end(x));
+      return;
+    case Axis::kFollowing:
+      scan(doc.subtree_end(x), doc.size());
+      return;
+    case Axis::kPreceding:
+      scan(0, x);
+      return;
+    case Axis::kFollowingSibling:
+    case Axis::kPrecedingSibling: {
+      const NodeId p = doc.parent(x);
+      if (p == kInvalidNodeId || IsAttr(doc, x)) return;
+      if (axis == Axis::kFollowingSibling) {
+        scan(doc.subtree_end(x), doc.subtree_end(p));
+      } else {
+        scan(p + 1, x);
+      }
+      return;
+    }
+    case Axis::kAttribute:
+      scan(doc.AttrBegin(x), doc.AttrEnd(x));
+      return;
+    case Axis::kId:
+      // deref_ids results are sorted: probing them keeps document order.
+      for (NodeId t : doc.IdAxisForward(x)) probe(t);
+      return;
+  }
+}
+
 }  // namespace xpe

@@ -2,7 +2,9 @@
 #define XPE_AXES_AXIS_H_
 
 #include <optional>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "src/axes/node_set.h"
 #include "src/xml/document.h"
@@ -59,6 +61,19 @@ NodeSet AxisFromNode(const xml::Document& doc, Axis axis, xml::NodeId x);
 /// (For kId: O(log k) in the node's reference count.)
 bool AxisRelates(const xml::Document& doc, Axis axis, xml::NodeId x,
                  xml::NodeId y);
+
+/// One origin's row of the pair relation {(x, y) | y ∈ Y, x χ y}: appends
+/// the members y of `ys` (sorted, duplicate-free) with x χ y to `out`, in
+/// document order. Only the slice of `ys` the axis can reach from x is
+/// scanned — found by binary search on x's subtree interval, its
+/// parent's interval or its attribute range — with AxisRelates as the
+/// exact filter; self, parent, ancestor(-or-self) and id probe their few
+/// candidates (x, the parent chain, x's id targets) by binary search. The
+/// cost is O(log |Y| + slice), or O(depth · log |Y|), instead of O(|Y|),
+/// and nothing is allocated beyond the growth of `out`.
+void AppendAxisRow(const xml::Document& doc, Axis axis, xml::NodeId x,
+                   std::span<const xml::NodeId> ys,
+                   std::vector<xml::NodeId>* out);
 
 }  // namespace xpe
 

@@ -15,11 +15,6 @@
 
 namespace xpe {
 
-// One "no limit" value flows from ResultSpec through the engines into
-// the index kernels; the per-layer sentinels must stay the same number.
-static_assert(ResultSpec::kNoLimit == kNoNodeLimit &&
-              ResultSpec::kNoLimit == index::kNoStepLimit);
-
 const char* EngineKindToString(EngineKind kind) {
   switch (kind) {
     case EngineKind::kNaive:
@@ -268,6 +263,39 @@ bool TrySummaryPrune(const xpath::CompiledQuery& query,
   return true;
 }
 
+/// Runs the engine options.engine names; the dispatcher reduces its
+/// answer to the result mode afterwards.
+StatusOr<Value> RunEngine(EvalWorkspace& ws, const xpath::CompiledQuery& query,
+                          const xml::Document& doc, const EvalContext& context,
+                          const EvalOptions& options) {
+  switch (options.engine) {
+    case EngineKind::kNaive:
+      // The naive engine ignores the node limit (it is the executable
+      // specification); ApplyResultSpec still answers every mode
+      // correctly.
+      return internal::EvalNaive(query, doc, context, options);
+    case EngineKind::kBottomUp:
+      return internal::EvalBottomUp(ws, query, doc, context, options);
+    case EngineKind::kTopDown:
+      return internal::EvalTopDown(ws, query, doc, context, options);
+    case EngineKind::kMinContext:
+      return internal::EvalMinContext(ws, query, doc, context, options,
+                                      /*optimized=*/false);
+    case EngineKind::kOptMinContext:
+      // Algorithm 8 + Theorem 13: a fully Core XPath query runs on the
+      // linear-time engine; otherwise bottom-up passes + MINCONTEXT.
+      if (query.fragment() == xpath::Fragment::kCoreXPath &&
+          !options.ablate_outermost_sets) {
+        return internal::EvalCoreXPath(ws, query, doc, context, options);
+      }
+      return internal::EvalMinContext(ws, query, doc, context, options,
+                                      /*optimized=*/true);
+    case EngineKind::kCoreXPath:
+      return internal::EvalCoreXPath(ws, query, doc, context, options);
+  }
+  return StatusOr<Value>(Status::InvalidArgument("unknown engine"));
+}
+
 }  // namespace
 
 StatusOr<Value> internal::EvaluateWith(EvalWorkspace& ws,
@@ -300,79 +328,34 @@ StatusOr<Value> internal::EvaluateWith(EvalWorkspace& ws,
   }
   const uint64_t eval_t0 =
       options.profile != nullptr ? obs::MonotonicNanos() : 0;
-  auto finish = [&](StatusOr<Value> result) -> StatusOr<Value> {
-    if (options.profile != nullptr) {
-      options.profile->RecordPhase("eval", obs::MonotonicNanos() - eval_t0);
-    }
-    if (options.stats != nullptr) {
-      options.stats->arena_bytes_peak = std::max<uint64_t>(
-          options.stats->arena_bytes_peak, ws.arena()->bytes_peak());
-      // Budget trips are recorded centrally so the counter is uniform
-      // across engines, tiers and result modes — kCount and kLimit trip
-      // it identically (the regression test in engine_test.cc holds the
-      // modes equal).
-      if (!result.ok() &&
-          result.status().code() == StatusCode::kResourceExhausted) {
-        ++options.stats->budget_trips;
-      }
-    }
-    if (!result.ok()) return result;
-    return ApplyResultSpec(std::move(result).value(), spec);
-  };
-  // The summary prune bypasses the engines entirely: a proven-empty (or
-  // proven-constant) query is answered in O(|Q|) with the result already
-  // in the mode's shape, so ApplyResultSpec must not run. It still
-  // records the eval phase and arena peak, like the count fast path.
-  if (Value pruned; TrySummaryPrune(query, doc, context, options, &pruned)) {
-    if (options.profile != nullptr) {
-      options.profile->RecordPhase("eval", obs::MonotonicNanos() - eval_t0);
-    }
-    if (options.stats != nullptr) {
-      options.stats->arena_bytes_peak = std::max<uint64_t>(
-          options.stats->arena_bytes_peak, ws.arena()->bytes_peak());
-    }
-    return StatusOr<Value>(std::move(pruned));
+  // The dispatcher shortcuts — the summary prune, then the count fast
+  // path — answer before any engine runs, with the result already in the
+  // mode's shape, so ApplyResultSpec must not run on them (kCount's
+  // reduction expects a node-set). Every path shares the epilogue below.
+  Value shortcut;
+  const bool answered =
+      TrySummaryPrune(query, doc, context, options, &shortcut) ||
+      TryCountFastPath(query, doc, context, options, &shortcut);
+  StatusOr<Value> result = answered
+                               ? StatusOr<Value>(std::move(shortcut))
+                               : RunEngine(ws, query, doc, context, options);
+  if (options.profile != nullptr) {
+    options.profile->RecordPhase("eval", obs::MonotonicNanos() - eval_t0);
   }
-  // The count fast path bypasses the engines entirely (its answer is a
-  // Number already, so ApplyResultSpec must not run — kCount's reduction
-  // expects a node-set); it still records the eval phase and arena peak.
-  if (Value fast; TryCountFastPath(query, doc, context, options, &fast)) {
-    if (options.profile != nullptr) {
-      options.profile->RecordPhase("eval", obs::MonotonicNanos() - eval_t0);
+  if (options.stats != nullptr) {
+    options.stats->arena_bytes_peak = std::max<uint64_t>(
+        options.stats->arena_bytes_peak, ws.arena()->bytes_peak());
+    // Budget trips are recorded centrally so the counter is uniform
+    // across engines, tiers and result modes — kCount and kLimit trip
+    // it identically (the regression test in engine_test.cc holds the
+    // modes equal).
+    if (!result.ok() &&
+        result.status().code() == StatusCode::kResourceExhausted) {
+      ++options.stats->budget_trips;
     }
-    if (options.stats != nullptr) {
-      options.stats->arena_bytes_peak = std::max<uint64_t>(
-          options.stats->arena_bytes_peak, ws.arena()->bytes_peak());
-    }
-    return StatusOr<Value>(std::move(fast));
   }
-  switch (options.engine) {
-    case EngineKind::kNaive:
-      // The naive engine ignores the node limit (it is the executable
-      // specification); the reduction in finish() still answers every
-      // mode correctly.
-      return finish(internal::EvalNaive(query, doc, context, options));
-    case EngineKind::kBottomUp:
-      return finish(internal::EvalBottomUp(ws, query, doc, context, options));
-    case EngineKind::kTopDown:
-      return finish(internal::EvalTopDown(ws, query, doc, context, options));
-    case EngineKind::kMinContext:
-      return finish(internal::EvalMinContext(ws, query, doc, context, options,
-                                             /*optimized=*/false));
-    case EngineKind::kOptMinContext:
-      // Algorithm 8 + Theorem 13: a fully Core XPath query runs on the
-      // linear-time engine; otherwise bottom-up passes + MINCONTEXT.
-      if (query.fragment() == xpath::Fragment::kCoreXPath &&
-          !options.ablate_outermost_sets) {
-        return finish(
-            internal::EvalCoreXPath(ws, query, doc, context, options));
-      }
-      return finish(internal::EvalMinContext(ws, query, doc, context, options,
-                                             /*optimized=*/true));
-    case EngineKind::kCoreXPath:
-      return finish(internal::EvalCoreXPath(ws, query, doc, context, options));
-  }
-  return StatusOr<Value>(Status::InvalidArgument("unknown engine"));
+  if (answered || !result.ok()) return result;
+  return ApplyResultSpec(std::move(result).value(), spec);
 }
 
 StatusOr<Value> Evaluate(const xpath::CompiledQuery& query,

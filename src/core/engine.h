@@ -92,9 +92,6 @@ const char* ResultModeToString(ResultMode mode);
 /// The typed verbs of xpe::Query (query.h) are the ergonomic surface
 /// over these.
 struct ResultSpec {
-  /// Sentinel for "no node limit" (node_limit() of kFull/kCount).
-  static constexpr uint64_t kNoLimit = ~uint64_t{0};
-
   ResultMode mode = ResultMode::kFull;
   /// kLimit only: how many document-order-first nodes to produce. Must
   /// be >= 1 when mode is kLimit (a zero limit is rejected as
@@ -109,7 +106,7 @@ struct ResultSpec {
   std::function<bool(xml::NodeId)> sink;
 
   /// The node-count bound engines may exploit for early termination:
-  /// 1 for kFirst/kExists, `limit` for kLimit, kNoLimit otherwise.
+  /// 1 for kFirst/kExists, `limit` for kLimit, kNoNodeLimit otherwise.
   uint64_t node_limit() const {
     switch (mode) {
       case ResultMode::kFirst:
@@ -118,7 +115,7 @@ struct ResultSpec {
       case ResultMode::kLimit:
         return limit;
       default:
-        return kNoLimit;
+        return kNoNodeLimit;
     }
   }
 };

@@ -1,6 +1,7 @@
 #include "src/core/functions.h"
 
 #include <cmath>
+#include <string_view>
 
 #include "src/common/numeric.h"
 #include "src/common/str_util.h"
@@ -56,42 +57,39 @@ bool CompareBooleans(BinOp op, bool lhs, bool rhs) {
   }
 }
 
+/// strval(node) == text without materializing strval: an element's text
+/// nodes are compared chunk by chunk, stopping at the first mismatch.
+bool StringValueEquals(const xml::Document& doc, xml::NodeId node,
+                       std::string_view text) {
+  if (doc.kind(node) != xml::NodeKind::kRoot && !doc.IsElement(node)) {
+    return doc.content(node) == text;
+  }
+  size_t matched = 0;
+  for (xml::NodeId n = node + 1; n < doc.subtree_end(node); ++n) {
+    if (!doc.IsText(n)) continue;
+    const std::string_view chunk = doc.content(n);
+    if (text.substr(matched, chunk.size()) != chunk) return false;
+    matched += chunk.size();
+  }
+  return matched == text.size();
+}
+
 /// S RelOp v with the node-set on the left (mirror the operator to call
 /// with the node-set on the right).
 bool CompareNodeSetScalar(const xml::Document& doc, BinOp op,
                           const NodeSet& nodes, const Value& scalar) {
-  switch (scalar.type()) {
-    case ValueType::kNumber:
-      for (xml::NodeId n : nodes) {
-        if (CompareNumbers(op, doc.NumberValue(n), scalar.number())) {
-          return true;
-        }
-      }
-      return false;
-    case ValueType::kString:
-      if (op == BinOp::kEq || op == BinOp::kNeq) {
-        for (xml::NodeId n : nodes) {
-          if (CompareStrings(op, doc.StringValue(n), scalar.string())) {
-            return true;
-          }
-        }
-        return false;
-      }
-      for (xml::NodeId n : nodes) {
-        if (CompareNumbers(op, doc.NumberValue(n),
-                           XPathStringToNumber(scalar.string()))) {
-          return true;
-        }
-      }
-      return false;
-    case ValueType::kBoolean:
-      // F[[RelOp : nset × bool]](S, b) := F[[boolean]](S) RelOp b.
-      return CompareBooleans(op, !nodes.empty(), scalar.boolean());
-    case ValueType::kNodeSet:
-      break;  // handled by the caller
+  if (scalar.type() == ValueType::kBoolean) {
+    // F[[RelOp : nset × bool]](S, b) := F[[boolean]](S) RelOp b.
+    return CompareBooleans(op, !nodes.empty(), scalar.boolean());
+  }
+  const NodeScalarTest test(op, scalar);
+  for (xml::NodeId n : nodes) {
+    if (test(doc, n)) return true;
   }
   return false;
 }
+
+}  // namespace
 
 BinOp MirrorOp(BinOp op) {
   switch (op) {
@@ -108,7 +106,26 @@ BinOp MirrorOp(BinOp op) {
   }
 }
 
-}  // namespace
+NodeScalarTest::NodeScalarTest(BinOp op, const Value& scalar)
+    : op_(op),
+      compare_text_(scalar.type() == ValueType::kString &&
+                    (op == BinOp::kEq || op == BinOp::kNeq)) {
+  if (compare_text_) {
+    text_ = scalar.string();
+  } else if (scalar.type() == ValueType::kString) {
+    number_ = XPathStringToNumber(scalar.string());
+  } else {
+    number_ = scalar.number();
+  }
+}
+
+bool NodeScalarTest::operator()(const xml::Document& doc,
+                                xml::NodeId node) const {
+  if (!compare_text_) {
+    return CompareNumbers(op_, doc.NumberValue(node), number_);
+  }
+  return StringValueEquals(doc, node, text_) == (op_ == BinOp::kEq);
+}
 
 bool EvalComparison(const xml::Document& doc, BinOp op, const Value& lhs,
                     const Value& rhs) {

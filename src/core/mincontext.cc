@@ -1,5 +1,9 @@
 #include "src/core/mincontext_engine.h"
 
+#include <algorithm>
+#include <cmath>
+#include <optional>
+
 namespace xpe::internal {
 
 using xml::Document;
@@ -46,15 +50,15 @@ Status MinContextEngine::ChargeBudget(uint64_t n) {
 
 void MinContextEngine::StoreScalarRow(AstId id, NodeId cn, Value v) {
   ScalarTable& t = scalar_table(id);
-  if (t.by_cn.empty()) {
-    t.by_cn.resize(doc_.size());
-    t.has_cn.assign(doc_.size(), 0);
+  if (t.row_of.empty()) t.row_of.assign(doc_.size(), 0);
+  uint32_t& row = t.row_of[cn];
+  if (row != 0) {
+    t.rows[row - 1] = std::move(v);
+    return;
   }
-  if (!t.has_cn[cn]) {
-    t.has_cn[cn] = 1;
-    if (stats_ != nullptr) stats_->AddCells(1);
-  }
-  t.by_cn[cn] = std::move(v);
+  t.rows.push_back(std::move(v));
+  row = static_cast<uint32_t>(t.rows.size());
+  if (stats_ != nullptr) stats_->AddCells(1);
 }
 
 void MinContextEngine::StoreScalarConst(AstId id, Value v) {
@@ -86,17 +90,17 @@ StatusOr<Value> MinContextEngine::EvalSingleContext(AstId id, NodeId cn,
       return Value::Nodes(rel_table(id).RowAsNodeSet(cn));
     }
     ScalarTable& t = scalar_table(id);
-    if (t.bottom_up_done) return t.by_cn[cn];
+    if (t.bottom_up_done) return Value::Boolean(t.bottom_up[cn] != 0);
     if ((Relev(id) & xpath::kRelevCn) == 0) {
       if (!t.const_computed) {
         XPE_RETURN_IF_ERROR(EvalByCnodeOnly(id, NodeSet::Single(cn)));
       }
-      return scalar_table(id).const_value;
+      return t.const_value;
     }
-    if (t.by_cn.empty() || !t.has_cn[cn]) {
+    if (t.Find(cn) == nullptr) {
       XPE_RETURN_IF_ERROR(EvalByCnodeOnly(id, NodeSet::Single(cn)));
     }
-    return scalar_table(id).by_cn[cn];
+    return *t.Find(cn);
   }
 
   // Depends on cp/cs: evaluated per context, never tabled (§3.1).
@@ -220,20 +224,71 @@ Status MinContextEngine::EvalByCnodeOnly(AstId id, const NodeSet& x) {
     return Status::OK();
   }
   for (NodeId cn : x) {
-    ScalarTable& t = scalar_table(id);
-    if (!t.by_cn.empty() && t.has_cn[cn]) continue;
+    if (scalar_table(id).Find(cn) != nullptr) continue;
     XPE_ASSIGN_OR_RETURN(Value v, compute(cn));
     StoreScalarRow(id, cn, std::move(v));
   }
   return Status::OK();
 }
 
+namespace {
+
+/// A predicate that normalizes to position() = k (number literal k) or
+/// position() = last(), in either operand order. The ⟨cp,cs⟩ loop keeps
+/// exactly the candidate at position k (the last one), so it can be
+/// picked from the axis-ordered list directly. `units` is what the loop
+/// charges per candidate: one for the comparison and one per
+/// position()/last() call — the literal is a tabled constant.
+struct PositionSelector {
+  bool last = false;
+  double k = 0;
+  uint64_t units = 0;
+};
+
+std::optional<PositionSelector> AsPositionSelector(const QueryTree& tree,
+                                                   AstId pred) {
+  const AstNode& n = tree.node(pred);
+  if (n.kind != ExprKind::kBinaryOp || n.op != BinOp::kEq) return std::nullopt;
+  auto is_call = [](const AstNode& call, FunctionId fn) {
+    return call.kind == ExprKind::kFunctionCall && call.fn == fn;
+  };
+  const AstNode* position = &tree.node(n.children[0]);
+  const AstNode* other = &tree.node(n.children[1]);
+  if (!is_call(*position, FunctionId::kPosition)) std::swap(position, other);
+  if (!is_call(*position, FunctionId::kPosition)) return std::nullopt;
+  if (is_call(*other, FunctionId::kLast)) {
+    return PositionSelector{.last = true, .units = 3};
+  }
+  if (other->kind == ExprKind::kNumberLiteral) {
+    return PositionSelector{.k = other->number, .units = 2};
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 Status MinContextEngine::FilterByPredicatesSingle(
     const std::vector<AstId>& preds, std::vector<NodeId>* candidates) {
   EvalWorkspace::ScratchIds kept = ws_.AcquireIds();
   for (AstId pred : preds) {
-    kept->clear();
     const uint32_t m = static_cast<uint32_t>(candidates->size());
+    if (const std::optional<PositionSelector> selector =
+            AsPositionSelector(tree_, pred)) {
+      // Charge what the loop would have, one unit at a time: a budget
+      // running out inside the row stops at the first unit past it.
+      uint64_t units = uint64_t{m} * selector->units;
+      if (budget_ > 0 && used_ + units > budget_) units = budget_ + 1 - used_;
+      XPE_RETURN_IF_ERROR(ChargeBudget(units));
+      const double k = selector->last ? m : selector->k;
+      if (k >= 1 && k <= m && k == std::trunc(k)) {
+        const NodeId pick = (*candidates)[static_cast<size_t>(k) - 1];
+        candidates->assign(1, pick);
+      } else {
+        candidates->clear();
+      }
+      continue;
+    }
+    kept->clear();
     for (uint32_t j = 0; j < m; ++j) {
       XPE_ASSIGN_OR_RETURN(
           Value v, EvalSingleContext(pred, (*candidates)[j], j + 1, m));
@@ -241,6 +296,21 @@ Status MinContextEngine::FilterByPredicatesSingle(
     }
     std::swap(*candidates, *kept);
   }
+  return Status::OK();
+}
+
+Status MinContextEngine::SelectRow(AstId step_id, NodeId origin,
+                                   std::span<const NodeId> image,
+                                   std::vector<NodeId>* row) {
+  const AstNode& step = tree_.node(step_id);
+  row->clear();
+  AppendAxisRow(doc_, step.axis, origin, image, row);
+  // Positions count in the step order <doc,χ: reverse document order on
+  // the reverse axes.
+  const bool reverse = AxisIsReverse(step.axis);
+  if (reverse) std::reverse(row->begin(), row->end());
+  XPE_RETURN_IF_ERROR(FilterByPredicatesSingle(step.children, row));
+  if (reverse) std::reverse(row->begin(), row->end());
   return Status::OK();
 }
 
@@ -281,11 +351,14 @@ Status MinContextEngine::EvalStepRelation(AstId step_id, const NodeSet& x,
       }
       survivors = std::move(kept);
     }
+    EvalWorkspace::ScratchIds row = ws_.AcquireIds();
     for (NodeId origin : x) {
+      row->clear();
+      AppendAxisRow(doc_, step.axis, origin, survivors.ids(), row.get());
+      // One id at a time, not SetRow: a bulk append grows the table's
+      // arena buffer in different steps, which arena_bytes_peak shows.
       out->BeginRow(origin);
-      for (NodeId y : survivors) {
-        if (AxisRelates(doc_, step.axis, origin, y)) out->PushOrdered(y);
-      }
+      for (NodeId y : *row) out->PushOrdered(y);
       out->CommitRow();
     }
     return Status::OK();
@@ -293,19 +366,10 @@ Status MinContextEngine::EvalStepRelation(AstId step_id, const NodeSet& x,
 
   // At least one predicate reads cp/cs: loop over previous/current
   // context-node pairs (the §3.1 "treating position and size in a loop").
-  EvalWorkspace::ScratchIds candidates = ws_.AcquireIds();
-  EvalWorkspace::ScratchIds ordered = ws_.AcquireIds();
+  EvalWorkspace::ScratchIds row = ws_.AcquireIds();
   for (NodeId origin : x) {
-    candidates->clear();
-    for (NodeId y : y_all) {
-      if (AxisRelates(doc_, step.axis, origin, y)) {
-        candidates->push_back(y);
-      }
-    }
-    OrderForAxisInto(step.axis, *candidates, ordered.get());
-    XPE_RETURN_IF_ERROR(FilterByPredicatesSingle(step.children, ordered.get()));
-    SortUnique(ordered.get());  // back to document order
-    out->SetRow(origin, *ordered);
+    XPE_RETURN_IF_ERROR(SelectRow(step_id, origin, y_all.ids(), row.get()));
+    out->SetRow(origin, *row);
   }
   return Status::OK();
 }
@@ -528,20 +592,12 @@ StatusOr<NodeSet> MinContextEngine::EvalOutermostLocpath(AstId id,
           }
           current = std::move(survivors);
         } else {
-          EvalWorkspace::ScratchIds candidates = ws_.AcquireIds();
-          EvalWorkspace::ScratchIds ordered = ws_.AcquireIds();
+          EvalWorkspace::ScratchIds row = ws_.AcquireIds();
           EvalWorkspace::ScratchIds result = ws_.AcquireIds();
           for (NodeId origin : current) {
-            candidates->clear();
-            for (NodeId y : y_all) {
-              if (AxisRelates(doc_, step.axis, origin, y)) {
-                candidates->push_back(y);
-              }
-            }
-            OrderForAxisInto(step.axis, *candidates, ordered.get());
             XPE_RETURN_IF_ERROR(
-                FilterByPredicatesSingle(step.children, ordered.get()));
-            result->insert(result->end(), ordered->begin(), ordered->end());
+                SelectRow(n.children[s], origin, y_all.ids(), row.get()));
+            result->insert(result->end(), row->begin(), row->end());
           }
           SortUnique(result.get());
           current = NodeSet::FromSorted(*result);

@@ -42,11 +42,21 @@ class MinContextEngine {
   struct ScalarTable {
     bool const_computed = false;
     Value const_value;
-    /// Keyed by context node; `has_cn` marks computed rows. Sized lazily.
-    std::vector<uint8_t> has_cn;
-    std::vector<Value> by_cn;
-    /// Set by EvalBottomUpPath: by_cn holds a row for *every* node.
+    /// Keyed by context node: 1 + the index of cn's row in `rows`, 0 for
+    /// no row yet. Sized lazily; `rows` holds only the computed values,
+    /// so a table costs its rows plus one word per node.
+    std::vector<uint32_t> row_of;
+    std::vector<Value> rows;
+    /// Set by EvalBottomUpPath: `bottom_up` holds the boolean row of
+    /// *every* node.
     bool bottom_up_done = false;
+    std::vector<uint8_t> bottom_up;
+
+    /// cn's row, or null when it has not been computed.
+    const Value* Find(xml::NodeId cn) const {
+      return row_of.empty() || row_of[cn] == 0 ? nullptr
+                                               : &rows[row_of[cn] - 1];
+    }
   };
 
   ScalarTable& scalar_table(xpath::AstId id) { return scalar_tables_[id]; }
@@ -120,9 +130,18 @@ class MinContextEngine {
                     uint64_t limit = kNoNodeLimit);
 
   /// Shared predicate filtering of one origin's ordered candidate list,
-  /// in place (scratch comes from the workspace pool).
+  /// in place (scratch comes from the workspace pool). A predicate of the
+  /// form position() = k or position() = last() picks its candidate in
+  /// closed form and charges the units the ⟨cp,cs⟩ loop would have.
   Status FilterByPredicatesSingle(const std::vector<xpath::AstId>& preds,
                                   std::vector<xml::NodeId>* candidates);
+
+  /// One origin's row of a step with positional predicates: its
+  /// candidates in `image` (AppendAxisRow), filtered with positions
+  /// counted in axis order, left in `row` in document order.
+  Status SelectRow(xpath::AstId step_id, xml::NodeId origin,
+                   std::span<const xml::NodeId> image,
+                   std::vector<xml::NodeId>* row);
 
   // --- §4/§5 bottom-up machinery (wadler.cc) ------------------------------
   /// Collects bottom_up_eligible nodes innermost-first and evaluates them.

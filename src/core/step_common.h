@@ -68,10 +68,6 @@ void OrderForAxisInto(Axis axis, std::span<const xml::NodeId> set,
 NodeSet StepCandidates(const xml::Document& doc, Axis axis,
                        const xpath::NodeTest& test, xml::NodeId origin);
 
-/// "No limit" for the step-level early-termination bound (the value of
-/// ResultSpec::kNoLimit and index::kNoStepLimit).
-inline constexpr uint64_t kNoNodeLimit = ~uint64_t{0};
-
 /// One location step's χ(X) ∩ T(t) evaluator, shared by all engines so
 /// the index-vs-scan dispatch and its stats accounting live in one
 /// place. Construction resolves the document index's postings once (when

@@ -142,20 +142,12 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
       XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, universe));
     }
     NodeSet kept_origins;
-    EvalWorkspace::ScratchIds candidates = ws_.AcquireIds();
-    EvalWorkspace::ScratchIds ordered = ws_.AcquireIds();
+    EvalWorkspace::ScratchIds row = ws_.AcquireIds();
     for (NodeId origin : origins) {
-      candidates->clear();
-      for (NodeId z : universe) {
-        if (AxisRelates(doc_, step.axis, origin, z)) {
-          candidates->push_back(z);
-        }
-      }
-      OrderForAxisInto(step.axis, *candidates, ordered.get());
       XPE_RETURN_IF_ERROR(
-          FilterByPredicatesSingle(step.children, ordered.get()));
+          SelectRow(path.children[s], origin, universe.ids(), row.get()));
       bool hits_target = false;
-      for (NodeId z : *ordered) {
+      for (NodeId z : *row) {
         if (tested.Contains(z)) {
           hits_target = true;
           break;
@@ -215,17 +207,16 @@ Status MinContextEngine::EvalBottomUpPath(AstId id) {
     const AstNode& s = tree_.node(scalar_id);
     // The operand is context-independent; evaluate it once.
     XPE_RETURN_IF_ERROR(EvalByCnodeOnly(scalar_id, NodeSet::Single(0)));
+    // Each node is tested as the left operand: s RelOp π is π RelOp' s
+    // with the mirrored operator. Y holds the nodes passing some test.
+    const BinOp node_op = path_on_left ? op : MirrorOp(op);
+    std::vector<NodeScalarTest> tests;
     if (s.type == xpath::ValueType::kNodeSet) {
-      // π RelOp S with S a context-free node-set (§6's nset case).
+      // π RelOp S with S a context-free node-set (§6's nset case): one
+      // test per anchor node, against its string-value.
       XPE_ASSIGN_OR_RETURN(NodeSet anchor, EvalContextFreeNodeSet(scalar_id));
-      Value anchor_value = Value::Nodes(std::move(anchor));
-      for (NodeId node = 0; node < dom_size; ++node) {
-        XPE_RETURN_IF_ERROR(ChargeBudget());
-        const Value self = Value::Nodes(NodeSet::Single(node));
-        const bool hit =
-            path_on_left ? EvalComparison(doc_, op, self, anchor_value)
-                         : EvalComparison(doc_, op, anchor_value, self);
-        if (hit) y.PushBackOrdered(node);
+      for (NodeId a : anchor) {
+        tests.emplace_back(node_op, Value::String(doc_.StringValue(a)));
       }
     } else {
       XPE_ASSIGN_OR_RETURN(Value s_val, EvalSingleContext(scalar_id, 0, 0, 0));
@@ -236,13 +227,17 @@ Status MinContextEngine::EvalBottomUpPath(AstId id) {
         bool_anchor = true;
         bool_anchor_value = s_val.boolean();
       } else {
-        for (NodeId node = 0; node < dom_size; ++node) {
-          XPE_RETURN_IF_ERROR(ChargeBudget());
-          const Value self = Value::Nodes(NodeSet::Single(node));
-          const bool hit = path_on_left
-                               ? EvalComparison(doc_, op, self, s_val)
-                               : EvalComparison(doc_, op, s_val, self);
-          if (hit) y.PushBackOrdered(node);
+        tests.emplace_back(node_op, s_val);
+      }
+    }
+    if (!bool_anchor) {
+      for (NodeId node = 0; node < dom_size; ++node) {
+        XPE_RETURN_IF_ERROR(ChargeBudget());
+        for (const NodeScalarTest& test : tests) {
+          if (test(doc_, node)) {
+            y.PushBackOrdered(node);
+            break;
+          }
         }
       }
     }
@@ -251,25 +246,20 @@ Status MinContextEngine::EvalBottomUpPath(AstId id) {
   // Step 2: propagate Y backwards through the path.
   XPE_ASSIGN_OR_RETURN(NodeSet reachable, PropagatePathBackwards(path_id, y));
 
-  // Fill table(id) for every possible context node: linear space.
+  // Fill table(id) for every possible context node: linear space. A
+  // node's value depends only on whether it reaches Y.
+  auto value_of = [&](bool exists) {
+    if (!bool_anchor) return exists;
+    return path_on_left
+               ? EvalComparison(doc_, op, Value::Boolean(exists),
+                                Value::Boolean(bool_anchor_value))
+               : EvalComparison(doc_, op, Value::Boolean(bool_anchor_value),
+                                Value::Boolean(exists));
+  };
   ScalarTable& table = scalar_table(id);
-  table.by_cn.resize(dom_size);
-  table.has_cn.assign(dom_size, 1);
-  NodeBitmap in_set(dom_size, reachable);
-  for (NodeId node = 0; node < dom_size; ++node) {
-    bool value;
-    if (bool_anchor) {
-      const bool exists = in_set.Test(node);
-      value = path_on_left
-                  ? EvalComparison(doc_, op, Value::Boolean(exists),
-                                   Value::Boolean(bool_anchor_value))
-                  : EvalComparison(doc_, op, Value::Boolean(bool_anchor_value),
-                                   Value::Boolean(exists));
-    } else {
-      value = in_set.Test(node);
-    }
-    table.by_cn[node] = Value::Boolean(value);
-  }
+  table.bottom_up.assign(dom_size, value_of(false) ? 1 : 0);
+  const uint8_t if_reached = value_of(true) ? 1 : 0;
+  for (NodeId node : reachable) table.bottom_up[node] = if_reached;
   table.bottom_up_done = true;
   if (stats_ != nullptr) stats_->AddCells(dom_size);
   return Status::OK();

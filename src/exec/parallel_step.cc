@@ -198,7 +198,7 @@ uint32_t ParallelIndexedStep(const ParallelPolicy& policy, const Document& doc,
   if (n_chunks == 0) return 0;
   std::vector<std::vector<NodeId>> runs(n_chunks);
   std::atomic<bool> cancel{false};
-  const bool cancelable = policy.cancel_on_limit && limit != kNoWorkLimit;
+  const bool cancelable = policy.cancel_on_limit && limit != kNoNodeLimit;
   Executor::Shared().Run(
       n_chunks, policy.max_workers, [&](uint32_t t, uint32_t) {
         if (cancelable && cancel.load(std::memory_order_acquire)) return;

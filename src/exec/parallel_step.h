@@ -42,10 +42,6 @@ struct ParallelPolicy {
   bool active() const { return max_workers > 1; }
 };
 
-/// "No limit" for the kernels' `limit` arguments — same value as
-/// ResultSpec::kNoLimit / index::kNoStepLimit / xpe::kNoNodeLimit.
-inline constexpr uint64_t kNoWorkLimit = ~uint64_t{0};
-
 /// Resolves the user-facing options against the result mode and the
 /// calling context. Inactive (max_workers = 1) when options.enabled is
 /// false or the caller is already inside an Executor task (nested
@@ -66,7 +62,7 @@ uint32_t PlanChunks(uint64_t work, const ParallelPolicy& policy,
 /// the chunk count, which PlanChunks keeps small.
 void KWayMergeUnique(std::span<const std::vector<xml::NodeId>> runs,
                      std::vector<xml::NodeId>* out,
-                     uint64_t limit = kNoWorkLimit);
+                     uint64_t limit = kNoNodeLimit);
 
 /// Parallel form of index::IndexedStepOverPostingsInto. Returns the
 /// partition width used (>= 2), with `out` holding exactly what the
@@ -92,7 +88,7 @@ uint32_t ParallelIndexedStep(const ParallelPolicy& policy,
                              const xpath::NodeTest& test,
                              std::span<const xml::NodeId> x,
                              std::vector<xml::NodeId>* out,
-                             uint64_t limit = kNoWorkLimit);
+                             uint64_t limit = kNoNodeLimit);
 
 /// Parallel form of the scan path for descendant/descendant-or-self
 /// steps (the `//x` shape): the frontier's merged subtree intervals are

@@ -220,7 +220,7 @@ void ParentStep(const Document& doc, Axis axis, const NodeTest& test,
   SortUnique(out);  // parents of distinct origins may repeat or invert
   // Emission is not ordered, so the limit applies after the sort; the
   // kernel is output-bounded by |x| regardless.
-  if (limit != kNoStepLimit && out->size() > limit) out->resize(limit);
+  if (limit != kNoNodeLimit && out->size() > limit) out->resize(limit);
 }
 
 template <typename Seq>
@@ -293,7 +293,7 @@ void StepOverSeqInto(const Document& doc, const Seq& postings, Axis axis,
       const NodeSet scan = ApplyNodeTest(
           doc, axis, test, EvalAxis(doc, axis, NodeSet::FromSorted(x)));
       out->assign(scan.begin(), scan.end());
-      if (limit != kNoStepLimit && out->size() > limit) out->resize(limit);
+      if (limit != kNoNodeLimit && out->size() > limit) out->resize(limit);
       return;
     }
   }
@@ -434,9 +434,9 @@ void IndexedApplyNodeTestInto(const Document& doc, const IndexView& index,
     return;
   }
   if (postings.is_flat()) {
-    IntersectSortedInto(FlatSeq{postings.flat()}, nodes, out, kNoStepLimit);
+    IntersectSortedInto(FlatSeq{postings.flat()}, nodes, out, kNoNodeLimit);
   } else {
-    IntersectSortedInto(DenseSeq{postings.dense()}, nodes, out, kNoStepLimit);
+    IntersectSortedInto(DenseSeq{postings.dense()}, nodes, out, kNoNodeLimit);
   }
 }
 

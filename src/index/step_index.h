@@ -10,11 +10,6 @@
 
 namespace xpe::index {
 
-/// "No limit" sentinel for the kernels' early-termination bound (the
-/// value of ResultSpec::kNoLimit, restated here so this header does not
-/// depend on the engine options surface).
-inline constexpr uint64_t kNoStepLimit = ~uint64_t{0};
-
 /// Index-accelerated location-step kernels. Each function is semantically
 /// identical to the O(|D|) scan it replaces (same node set, same document
 /// order); they differ only in cost, which is driven by the postings size
@@ -105,13 +100,13 @@ void IndexedStepOverPostingsInto(const xml::Document& doc,
                                  const xpath::NodeTest& test,
                                  std::span<const xml::NodeId> x,
                                  std::vector<xml::NodeId>* out,
-                                 uint64_t limit = kNoStepLimit);
+                                 uint64_t limit = kNoNodeLimit);
 void IndexedStepOverPostingsInto(const xml::Document& doc,
                                  const std::vector<xml::NodeId>& postings,
                                  Axis axis, const xpath::NodeTest& test,
                                  std::span<const xml::NodeId> x,
                                  std::vector<xml::NodeId>* out,
-                                 uint64_t limit = kNoStepLimit);
+                                 uint64_t limit = kNoNodeLimit);
 
 /// The cost gate behind the "self-gate" above, exposed so callers that
 /// do their own dispatch (StepKernel) can account indexed vs. scan steps

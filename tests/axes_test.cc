@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "src/axes/axis.h"
 #include "src/xml/generator.h"
 #include "tests/test_util.h"
@@ -333,6 +335,57 @@ TEST_P(AxisPropertyTest, DescendantIsTransitiveChild) {
       frontier = EvalAxis(doc_, Axis::kChild, frontier);
     }
     EXPECT_EQ(AxisFromNode(doc_, Axis::kDescendant, x), expect) << x;
+  }
+}
+
+TEST_P(AxisPropertyTest, RowsPartitionTheImage) {
+  // For random origin sets X — the empty set, the root, attribute origins
+  // — and random subsets Y of χ(X), each origin's row appended by
+  // AppendAxisRow is {y ∈ Y | x χ y} in document order.
+  std::mt19937_64 rng(GetParam());
+  constexpr NodeId kMarker = 0xABCDu;  // rows append after existing ids
+  NodeSet attributes;
+  for (NodeId n = 0; n < doc_.size(); ++n) {
+    if (doc_.IsAttribute(n)) attributes.PushBackOrdered(n);
+  }
+  ASSERT_FALSE(attributes.empty());
+  for (int i = 0; i < kNumAxes; ++i) {
+    const Axis axis = static_cast<Axis>(i);
+    if (axis == Axis::kId) continue;
+    for (int trial = 0; trial < 12; ++trial) {
+      NodeSet x;
+      switch (trial) {
+        case 0:
+          break;
+        case 1:
+          x = NodeSet::Single(doc_.root());
+          break;
+        case 2:
+          x = attributes;
+          break;
+        case 3:
+          x = NodeSet::Universe(doc_.size());
+          break;
+        default:
+          for (NodeId n = 0; n < doc_.size(); ++n) {
+            if (rng() % 4 == 0) x.PushBackOrdered(n);
+          }
+      }
+      NodeSet y;
+      for (NodeId n : EvalAxis(doc_, axis, x)) {
+        if (trial % 2 == 0 || rng() % 2 == 0) y.PushBackOrdered(n);
+      }
+      for (NodeId origin : x) {
+        std::vector<NodeId> row = {kMarker};
+        AppendAxisRow(doc_, axis, origin, y.ids(), &row);
+        std::vector<NodeId> expect = {kMarker};
+        for (NodeId n : y) {
+          if (AxisRelates(doc_, axis, origin, n)) expect.push_back(n);
+        }
+        EXPECT_EQ(row, expect) << AxisToString(axis) << " trial " << trial
+                               << " origin " << origin;
+      }
+    }
   }
 }
 

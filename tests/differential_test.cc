@@ -67,6 +67,10 @@ const char* kQueryCorpus[] = {
     "//a[. = ../b]",
     "//*[text()]",
     "//b[../c]",
+    "//a[100 > b]",
+    "//a[b >= '50']",
+    "//a[/descendant::c = b]",
+    "//a[/descendant::c < b]",
 };
 
 /// The index axis every differential loop sweeps: no index at all, the
@@ -92,62 +96,105 @@ EvalOptions ConfigOptions(const IndexConfig& config, EngineKind engine) {
   return opts;
 }
 
+/// Every table engine (and Core XPath on its fragment) agrees with the
+/// naive engine on `query` under all three index configs — indexed step
+/// kernels and the tier backing them must be invisible in the results —
+/// and the two indexed tiers also agree on every stats counter.
+void ExpectAgreesWithNaive(const xml::Document& doc, const char* query,
+                           uint64_t seed) {
+  xpath::CompiledQuery compiled = MustCompile(query);
+  EvalOptions naive_opts;
+  naive_opts.engine = EngineKind::kNaive;
+  naive_opts.budget = 50'000'000;
+  StatusOr<Value> expected = Evaluate(compiled, doc, EvalContext{}, naive_opts);
+  ASSERT_TRUE(expected.ok()) << query << ": " << expected.status().ToString();
+
+  std::vector<EngineKind> engines = {
+      EngineKind::kBottomUp, EngineKind::kTopDown, EngineKind::kMinContext,
+      EngineKind::kOptMinContext};
+  if (compiled.fragment() == xpath::Fragment::kCoreXPath) {
+    engines.push_back(EngineKind::kCoreXPath);
+  }
+  for (EngineKind engine : engines) {
+    std::string hot_stats, dense_stats;
+    for (const IndexConfig& config : kIndexConfigs) {
+      EvalOptions opts = ConfigOptions(config, engine);
+      EvalStats stats;
+      opts.stats = &stats;
+      StatusOr<Value> actual = Evaluate(compiled, doc, EvalContext{}, opts);
+      ASSERT_TRUE(actual.ok())
+          << query << " on " << EngineKindToString(engine) << ": "
+          << actual.status().ToString();
+      EXPECT_TRUE(actual->StructurallyEquals(*expected))
+          << "query:    " << query << "\nengine:   "
+          << EngineKindToString(engine) << "\nindex:    " << config.label
+          << "\nseed:     " << seed << "\nexpected: " << expected->Repr()
+          << "\nactual:   " << actual->Repr();
+      if (config.use_index) {
+        (config.tier == index::IndexTier::kHot ? hot_stats : dense_stats) =
+            stats.ToString();
+      }
+    }
+    EXPECT_EQ(hot_stats, dense_stats)
+        << "stats diverged across tiers: " << query << " on "
+        << EngineKindToString(engine) << " seed " << seed;
+  }
+}
+
 class DifferentialTest : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialTest, AllEnginesAgreeWithNaive) {
   xml::Document doc =
       xml::MakeRandomDocument(30, {"a", "b", "c"}, GetParam());
   for (const char* query : kQueryCorpus) {
-    xpath::CompiledQuery compiled = MustCompile(query);
-    EvalOptions naive_opts;
-    naive_opts.engine = EngineKind::kNaive;
-    naive_opts.budget = 50'000'000;
-    StatusOr<Value> expected =
-        Evaluate(compiled, doc, EvalContext{}, naive_opts);
-    ASSERT_TRUE(expected.ok()) << query << ": "
-                               << expected.status().ToString();
-
-    std::vector<EngineKind> engines = {
-        EngineKind::kBottomUp, EngineKind::kTopDown, EngineKind::kMinContext,
-        EngineKind::kOptMinContext};
-    if (compiled.fragment() == xpath::Fragment::kCoreXPath) {
-      engines.push_back(EngineKind::kCoreXPath);
-    }
-    for (EngineKind engine : engines) {
-      // Indexed step kernels (and the tier backing them) must be
-      // invisible in the results: every engine agrees with the
-      // (index-free) naive engine under all three index configs, and
-      // the two indexed tiers also agree on every stats counter.
-      std::string hot_stats, dense_stats;
-      for (const IndexConfig& config : kIndexConfigs) {
-        EvalOptions opts = ConfigOptions(config, engine);
-        EvalStats stats;
-        opts.stats = &stats;
-        StatusOr<Value> actual = Evaluate(compiled, doc, EvalContext{}, opts);
-        ASSERT_TRUE(actual.ok())
-            << query << " on " << EngineKindToString(engine) << ": "
-            << actual.status().ToString();
-        EXPECT_TRUE(actual->StructurallyEquals(*expected))
-            << "query:    " << query << "\nengine:   "
-            << EngineKindToString(engine)
-            << "\nindex:    " << config.label
-            << "\nseed:     " << GetParam()
-            << "\nexpected: " << expected->Repr()
-            << "\nactual:   " << actual->Repr();
-        if (config.use_index) {
-          (config.tier == index::IndexTier::kHot ? hot_stats : dense_stats) =
-              stats.ToString();
-        }
-      }
-      EXPECT_EQ(hot_stats, dense_stats)
-          << "stats diverged across tiers: " << query << " on "
-          << EngineKindToString(engine) << " seed " << GetParam();
-    }
+    ExpectAgreesWithNaive(doc, query, GetParam());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          testing::Range<uint64_t>(1, 21));
+
+/// Positional selectors on every tree axis, in each place MINCONTEXT
+/// evaluates a step: an outermost step, an inner step relation under a
+/// boolean predicate, and one under count(). The selectors cover the
+/// closed-form shapes ([k] and [last()], alone and stacked) and a
+/// positional predicate that still runs the ⟨cp,cs⟩ loop.
+std::vector<std::string> SelectorCorpus() {
+  const char* kSelectors[] = {
+      "[1]",
+      "[2]",
+      "[7]",
+      "[last()]",
+      "[position() = last()]",
+      "[last()][1]",
+      "[position() > last() div 2]",
+  };
+  std::vector<std::string> corpus;
+  for (int i = 0; i < kNumAxes; ++i) {
+    const Axis axis = static_cast<Axis>(i);
+    if (axis == Axis::kId) continue;
+    const std::string step = std::string(AxisToString(axis)) + "::*";
+    for (const char* p : kSelectors) {
+      corpus.push_back("//*/" + step + p);
+      corpus.push_back("//*[" + step + p + "]");
+      corpus.push_back("//b[count(" + step + p + ") = 1]");
+    }
+  }
+  return corpus;
+}
+
+class SelectorDifferentialTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(SelectorDifferentialTest, AllEnginesAgreeWithNaive) {
+  xml::Document doc =
+      xml::MakeRandomDocument(20, {"a", "b", "c"}, GetParam() * 101);
+  for (const std::string& query : SelectorCorpus()) {
+    ExpectAgreesWithNaive(doc, query.c_str(), GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SelectorDifferentialTest,
+                         testing::Values<uint64_t>(1, 2, 3));
 
 /// The same corpus evaluated from non-root context nodes.
 class RelativeDifferentialTest : public testing::TestWithParam<uint64_t> {};

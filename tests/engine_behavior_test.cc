@@ -201,6 +201,178 @@ TEST(DispatchTest, EngineNamesAreStable) {
   EXPECT_EQ(AllEngines().size(), static_cast<size_t>(kNumEngines));
 }
 
+// --- Counter pins ---------------------------------------------------------
+
+std::string StatsOf(EngineKind engine, const xml::Document& doc,
+                    const char* query) {
+  EvalStats stats;
+  EvalOptions options;
+  options.engine = engine;
+  options.stats = &stats;
+  StatusOr<Value> v = Evaluate(MustCompile(query), doc, EvalContext{}, options);
+  EXPECT_TRUE(v.ok()) << query << ": " << v.status().ToString();
+  return stats.ToString();
+}
+
+struct StatsPin {
+  const char* query;
+  const char* mincontext;     // EvalStats::ToString() under kMinContext
+  const char* optmincontext;  // ... and under kOptMinContext
+};
+
+void ExpectPins(const xml::Document& doc, std::span<const StatsPin> pins) {
+  for (const StatsPin& pin : pins) {
+    EXPECT_EQ(StatsOf(EngineKind::kMinContext, doc, pin.query), pin.mincontext)
+        << "kMinContext: " << pin.query;
+    EXPECT_EQ(StatsOf(EngineKind::kOptMinContext, doc, pin.query),
+              pin.optmincontext)
+        << "kOptMinContext: " << pin.query;
+  }
+}
+
+// One text of each of the benchmark's nine analytics families
+// (perfbench/src/analytics.cc), on its reduced twin document. MINCONTEXT's
+// per-origin rows and closed-form [k]/[last()] selectors must charge
+// exactly what testing every (origin, target) pair and the per-candidate
+// ⟨cp,cs⟩ loop of §3.1 charge: every counter, arena bytes included.
+TEST(CounterPinTest, AnalyticsFamilies) {
+  const xml::Document doc = xml::MakeAuctionDocument(120, 1);
+  constexpr StatsPin kPins[] = {
+      {"//open_auction[bidder/increase > 50]/current",
+       "cells_allocated=513 cells_live=179 cells_peak=196 "
+       "contexts_evaluated=206 axis_evals=0 indexed_steps=4 nodes_visited=427 "
+       "arena_bytes_peak=95744 count_fast_path=0 pruned_by_summary=0 "
+       "budget_trips=0",
+       "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
+       "contexts_evaluated=2341 axis_evals=2 indexed_steps=4 "
+       "nodes_visited=636 arena_bytes_peak=0 count_fast_path=0 "
+       "pruned_by_summary=0 budget_trips=0"},
+      {"//person[city = 'Graz']/name",
+       "cells_allocated=601 cells_live=361 cells_peak=361 "
+       "contexts_evaluated=267 axis_evals=0 indexed_steps=3 nodes_visited=411 "
+       "arena_bytes_peak=66560 count_fast_path=0 pruned_by_summary=0 "
+       "budget_trips=0",
+       "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
+       "contexts_evaluated=1973 axis_evals=1 indexed_steps=3 "
+       "nodes_visited=246 arena_bytes_peak=0 count_fast_path=0 "
+       "pruned_by_summary=0 budget_trips=0"},
+      {"id(//open_auction[current > 80]/itemref)/name",
+       "cells_allocated=201 cells_live=121 cells_peak=121 "
+       "contexts_evaluated=112 axis_evals=0 indexed_steps=4 nodes_visited=161 "
+       "arena_bytes_peak=62976 count_fast_path=0 pruned_by_summary=0 "
+       "budget_trips=0",
+       "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
+       "contexts_evaluated=2142 axis_evals=1 indexed_steps=4 "
+       "nodes_visited=305 arena_bytes_peak=0 count_fast_path=0 "
+       "pruned_by_summary=0 budget_trips=0"},
+      {"//personref/ancestor::open_auction",
+       "cells_allocated=0 cells_live=0 cells_peak=0 contexts_evaluated=99 "
+       "axis_evals=0 indexed_steps=2 nodes_visited=237 arena_bytes_peak=0 "
+       "count_fast_path=0 pruned_by_summary=0 budget_trips=0",
+       "cells_allocated=138 cells_live=138 cells_peak=138 "
+       "contexts_evaluated=99 axis_evals=0 indexed_steps=2 nodes_visited=237 "
+       "arena_bytes_peak=0 count_fast_path=0 pruned_by_summary=0 "
+       "budget_trips=0"},
+      {"//*[@id]",
+       "cells_allocated=3437 cells_live=2218 cells_peak=2218 "
+       "contexts_evaluated=1999 axis_evals=0 indexed_steps=2 "
+       "nodes_visited=2219 arena_bytes_peak=99808 count_fast_path=0 "
+       "pruned_by_summary=0 budget_trips=0",
+       "cells_allocated=440 cells_live=440 cells_peak=440 "
+       "contexts_evaluated=1897 axis_evals=1 indexed_steps=2 "
+       "nodes_visited=3116 arena_bytes_peak=0 count_fast_path=0 "
+       "pruned_by_summary=0 budget_trips=0"},
+      {"//open_auction/bidder[last()]/increase",
+       "cells_allocated=0 cells_live=0 cells_peak=0 contexts_evaluated=375 "
+       "axis_evals=0 indexed_steps=3 nodes_visited=259 arena_bytes_peak=0 "
+       "count_fast_path=0 pruned_by_summary=0 budget_trips=0",
+       "cells_allocated=0 cells_live=0 cells_peak=0 contexts_evaluated=375 "
+       "axis_evals=0 indexed_steps=3 nodes_visited=259 arena_bytes_peak=0 "
+       "count_fast_path=0 pruned_by_summary=0 budget_trips=0"},
+      {"/site/open_auctions/open_auction[count(bidder) > 2]",
+       "cells_allocated=357 cells_live=219 cells_peak=219 "
+       "contexts_evaluated=124 axis_evals=0 indexed_steps=4 nodes_visited=183 "
+       "arena_bytes_peak=63744 count_fast_path=0 pruned_by_summary=0 "
+       "budget_trips=0",
+       "cells_allocated=357 cells_live=219 cells_peak=219 "
+       "contexts_evaluated=124 axis_evals=0 indexed_steps=4 nodes_visited=183 "
+       "arena_bytes_peak=63744 count_fast_path=0 pruned_by_summary=0 "
+       "budget_trips=0"},
+      {"//item[following-sibling::item[1]/reserve > reserve]",
+       "cells_allocated=657 cells_live=300 cells_peak=300 "
+       "contexts_evaluated=3781 axis_evals=1 indexed_steps=3 "
+       "nodes_visited=418 arena_bytes_peak=159040 count_fast_path=0 "
+       "pruned_by_summary=0 budget_trips=0",
+       "cells_allocated=657 cells_live=300 cells_peak=300 "
+       "contexts_evaluated=3781 axis_evals=1 indexed_steps=3 "
+       "nodes_visited=418 arena_bytes_peak=159040 count_fast_path=0 "
+       "pruned_by_summary=0 budget_trips=0"},
+      {"sum(//current) div count(//open_auction)",
+       "cells_allocated=167 cells_live=85 cells_peak=85 contexts_evaluated=5 "
+       "axis_evals=0 indexed_steps=2 nodes_visited=82 arena_bytes_peak=122688 "
+       "count_fast_path=0 pruned_by_summary=0 budget_trips=0",
+       "cells_allocated=167 cells_live=85 cells_peak=85 contexts_evaluated=5 "
+       "axis_evals=0 indexed_steps=2 nodes_visited=82 arena_bytes_peak=122688 "
+       "count_fast_path=0 pruned_by_summary=0 budget_trips=0"},
+  };
+  ExpectPins(doc, kPins);
+}
+
+// The §2.4 running example on the grown paper document.
+TEST(CounterPinTest, RunningExample) {
+  const xml::Document doc = xml::MakeGrownPaperDocument(4);
+  constexpr StatsPin kPins[] = {
+      {"/descendant::*/descendant::*[position() > last()*0.5 or "
+       "self::* = 100]",
+       "cells_allocated=182 cells_live=110 cells_peak=110 "
+       "contexts_evaluated=572 axis_evals=0 indexed_steps=3 nodes_visited=183 "
+       "arena_bytes_peak=5440 count_fast_path=0 pruned_by_summary=0 "
+       "budget_trips=0",
+       "cells_allocated=100 cells_live=100 cells_peak=100 "
+       "contexts_evaluated=614 axis_evals=1 indexed_steps=3 nodes_visited=135 "
+       "arena_bytes_peak=0 count_fast_path=0 pruned_by_summary=0 "
+       "budget_trips=0"},
+  };
+  ExpectPins(doc, kPins);
+}
+
+// A budget that runs out inside a selector row trips where the
+// per-candidate ⟨cp,cs⟩ loop would: one kResourceExhausted trip, with
+// contexts_evaluated stopping at the first unit past the budget.
+TEST(BudgetTest, TripsInsideASelectorRow) {
+  const xml::Document doc = xml::MakeAuctionDocument(12, 1);
+  // One origin whose row holds every open_auction: the three steps charge
+  // one unit each, the selector row the rest.
+  for (const char* query : {"/site/open_auctions/open_auction[last()]",
+                            "/site/open_auctions/open_auction[1]"}) {
+    for (EngineKind engine :
+         {EngineKind::kMinContext, EngineKind::kOptMinContext}) {
+      EvalStats unbounded;
+      EvalOptions options;
+      options.engine = engine;
+      options.stats = &unbounded;
+      ASSERT_TRUE(
+          Evaluate(MustCompile(query), doc, EvalContext{}, options).ok());
+      ASSERT_GT(unbounded.contexts_evaluated, 10u) << query;
+      for (uint64_t budget : {unbounded.contexts_evaluated / 2,
+                              unbounded.contexts_evaluated - 2}) {
+        EvalStats stats;
+        options.stats = &stats;
+        options.budget = budget;
+        StatusOr<Value> v =
+            Evaluate(MustCompile(query), doc, EvalContext{}, options);
+        const std::string label = std::string(EngineKindToString(engine)) +
+                                  " " + query + " budget " +
+                                  std::to_string(budget);
+        ASSERT_FALSE(v.ok()) << label;
+        EXPECT_EQ(v.status().code(), StatusCode::kResourceExhausted) << label;
+        EXPECT_EQ(stats.budget_trips, 1u) << label;
+        EXPECT_EQ(stats.contexts_evaluated, budget + 1) << label;
+      }
+    }
+  }
+}
+
 TEST(StatsTest, ToStringAndReset) {
   EvalStats stats;
   stats.AddCells(10);

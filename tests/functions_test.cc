@@ -207,6 +207,24 @@ TEST_F(FunctionsTest, NodeSetVersusString) {
   EXPECT_TRUE(Bool("//a = '2'"));
 }
 
+TEST(NodeScalarTestTest, ComparesElementTextAcrossChunks) {
+  // strval(m) = "abcdef" arrives in four text nodes, split by a child
+  // element and a comment; strval(r) is the same string.
+  const xml::Document doc =
+      MustParse("<r><m>ab<i>cd</i>e<!--x-->f</m><e/></r>");
+  for (EngineKind engine : test::ConformanceEngines()) {
+    const char* name = EngineKindToString(engine);
+    EXPECT_TRUE(EvalValue("//m = 'abcdef'", doc, engine).boolean()) << name;
+    EXPECT_FALSE(EvalValue("//m = 'abcde'", doc, engine).boolean()) << name;
+    EXPECT_FALSE(EvalValue("//m = 'abcdefg'", doc, engine).boolean()) << name;
+    EXPECT_FALSE(EvalValue("//m = 'abXdef'", doc, engine).boolean()) << name;
+    EXPECT_TRUE(EvalValue("'abcde' != //m", doc, engine).boolean()) << name;
+    EXPECT_TRUE(EvalValue("//e = ''", doc, engine).boolean()) << name;
+    EXPECT_EQ(EvalValue("count(//*[. = 'abcdef'])", doc, engine).number(), 2)
+        << name;
+  }
+}
+
 TEST_F(FunctionsTest, NodeSetVersusNodeSet) {
   // ∃ pair with equal string-values.
   EXPECT_TRUE(Bool("//a = //a"));
