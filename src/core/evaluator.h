@@ -47,6 +47,7 @@ class EvalWorkspace {
       if (vec_ != nullptr) ws_->id_pool_.push_back(std::move(vec_));
     }
     std::vector<xml::NodeId>& operator*() { return *vec_; }
+    const std::vector<xml::NodeId>& operator*() const { return *vec_; }
     std::vector<xml::NodeId>* operator->() { return vec_.get(); }
     std::vector<xml::NodeId>* get() { return vec_.get(); }
 

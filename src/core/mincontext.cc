@@ -48,6 +48,11 @@ Status MinContextEngine::ChargeBudget(uint64_t n) {
   return Status::OK();
 }
 
+Status MinContextEngine::ChargeUnits(uint64_t n) {
+  if (budget_ > 0 && used_ + n > budget_) n = budget_ + 1 - used_;
+  return ChargeBudget(n);
+}
+
 void MinContextEngine::StoreScalarRow(AstId id, NodeId cn, Value v) {
   ScalarTable& t = scalar_table(id);
   if (t.row_of.empty()) t.row_of.assign(doc_.size(), 0);
@@ -233,18 +238,6 @@ Status MinContextEngine::EvalByCnodeOnly(AstId id, const NodeSet& x) {
 
 namespace {
 
-/// A predicate that normalizes to position() = k (number literal k) or
-/// position() = last(), in either operand order. The ⟨cp,cs⟩ loop keeps
-/// exactly the candidate at position k (the last one), so it can be
-/// picked from the axis-ordered list directly. `units` is what the loop
-/// charges per candidate: one for the comparison and one per
-/// position()/last() call — the literal is a tabled constant.
-struct PositionSelector {
-  bool last = false;
-  double k = 0;
-  uint64_t units = 0;
-};
-
 std::optional<PositionSelector> AsPositionSelector(const QueryTree& tree,
                                                    AstId pred) {
   const AstNode& n = tree.node(pred);
@@ -265,23 +258,25 @@ std::optional<PositionSelector> AsPositionSelector(const QueryTree& tree,
   return std::nullopt;
 }
 
+/// The 1-based position `selector` keeps among m candidates, 0 for none.
+uint32_t SelectedPosition(const PositionSelector& selector, uint32_t m) {
+  const double k = selector.last ? m : selector.k;
+  return k >= 1 && k <= m && k == std::trunc(k) ? static_cast<uint32_t>(k)
+                                                : 0;
+}
+
 }  // namespace
 
 Status MinContextEngine::FilterByPredicatesSingle(
-    const std::vector<AstId>& preds, std::vector<NodeId>* candidates) {
+    std::span<const AstId> preds, std::vector<NodeId>* candidates) {
   EvalWorkspace::ScratchIds kept = ws_.AcquireIds();
   for (AstId pred : preds) {
     const uint32_t m = static_cast<uint32_t>(candidates->size());
     if (const std::optional<PositionSelector> selector =
             AsPositionSelector(tree_, pred)) {
-      // Charge what the loop would have, one unit at a time: a budget
-      // running out inside the row stops at the first unit past it.
-      uint64_t units = uint64_t{m} * selector->units;
-      if (budget_ > 0 && used_ + units > budget_) units = budget_ + 1 - used_;
-      XPE_RETURN_IF_ERROR(ChargeBudget(units));
-      const double k = selector->last ? m : selector->k;
-      if (k >= 1 && k <= m && k == std::trunc(k)) {
-        const NodeId pick = (*candidates)[static_cast<size_t>(k) - 1];
+      XPE_RETURN_IF_ERROR(ChargeUnits(uint64_t{m} * selector->units));
+      if (const uint32_t k = SelectedPosition(*selector, m); k != 0) {
+        const NodeId pick = (*candidates)[k - 1];
         candidates->assign(1, pick);
       } else {
         candidates->clear();
@@ -299,12 +294,61 @@ Status MinContextEngine::FilterByPredicatesSingle(
   return Status::OK();
 }
 
-Status MinContextEngine::SelectRow(AstId step_id, NodeId origin,
-                                   std::span<const NodeId> image,
-                                   std::vector<NodeId>* row) {
+MinContextEngine::StepRows MinContextEngine::PrepareRows(
+    AstId step_id, std::span<const NodeId> image) {
   const AstNode& step = tree_.node(step_id);
+  std::optional<PositionSelector> rank_by;
+  if (step.axis == Axis::kFollowingSibling ||
+      step.axis == Axis::kPrecedingSibling) {
+    rank_by = AsPositionSelector(tree_, step.children[0]);
+  }
+  StepRows rows{.step_id = step_id, .image = image, .rank_by = rank_by,
+                .by_parent = ws_.AcquireIds()};
+  if (rank_by) {
+    rows.by_parent->assign(image.begin(), image.end());
+    std::sort(rows.by_parent->begin(), rows.by_parent->end(),
+              [&](NodeId a, NodeId b) {
+                return std::pair(doc_.parent(a), a) <
+                       std::pair(doc_.parent(b), b);
+              });
+  }
+  return rows;
+}
+
+Status MinContextEngine::SelectRow(const StepRows& rows, NodeId origin,
+                                   std::vector<NodeId>* row) {
+  const AstNode& step = tree_.node(rows.step_id);
   row->clear();
-  AppendAxisRow(doc_, step.axis, origin, image, row);
+  if (rows.rank_by) {
+    // The origin's siblings in the image are one run of `by_parent`: the
+    // parent's children after it (following-sibling) or before it
+    // (preceding-sibling; the parent's attributes sort first and are
+    // skipped), with positions counted away from the origin.
+    const bool following = step.axis == Axis::kFollowingSibling;
+    const NodeId parent = doc_.parent(origin);
+    std::span<const NodeId> run;
+    if (parent != xml::kInvalidNodeId && !doc_.IsAttribute(origin)) {
+      // The first node of `by_parent` at or after (p, id).
+      auto bound = [&](NodeId p, NodeId id) {
+        const std::vector<NodeId>& sorted = *rows.by_parent;
+        return std::partition_point(
+            sorted.begin(), sorted.end(), [&](NodeId y) {
+              return std::pair(doc_.parent(y), y) < std::pair(p, id);
+            });
+      };
+      run = following ? std::span(bound(parent, origin + 1),
+                                  bound(parent + 1, 0))
+                      : std::span(bound(parent, doc_.AttrEnd(parent)),
+                                  bound(parent, origin));
+    }
+    const uint32_t m = static_cast<uint32_t>(run.size());
+    XPE_RETURN_IF_ERROR(ChargeUnits(uint64_t{m} * rows.rank_by->units));
+    if (const uint32_t k = SelectedPosition(*rows.rank_by, m); k != 0) {
+      row->push_back(following ? run[k - 1] : run[m - k]);
+    }
+    return FilterByPredicatesSingle(std::span(step.children).subspan(1), row);
+  }
+  AppendAxisRow(doc_, step.axis, origin, rows.image, row);
   // Positions count in the step order <doc,χ: reverse document order on
   // the reverse axes.
   const bool reverse = AxisIsReverse(step.axis);
@@ -366,9 +410,10 @@ Status MinContextEngine::EvalStepRelation(AstId step_id, const NodeSet& x,
 
   // At least one predicate reads cp/cs: loop over previous/current
   // context-node pairs (the §3.1 "treating position and size in a loop").
+  const StepRows rows = PrepareRows(step_id, y_all.ids());
   EvalWorkspace::ScratchIds row = ws_.AcquireIds();
   for (NodeId origin : x) {
-    XPE_RETURN_IF_ERROR(SelectRow(step_id, origin, y_all.ids(), row.get()));
+    XPE_RETURN_IF_ERROR(SelectRow(rows, origin, row.get()));
     out->SetRow(origin, *row);
   }
   return Status::OK();
@@ -479,7 +524,7 @@ Status MinContextEngine::EvalInnerNodeSet(AstId id, const NodeSet& x) {
       }
       SortUnique(all_ids.get());
       const NodeSet all_targets = NodeSet::FromSorted(*all_ids);
-      std::vector<AstId> preds(n.children.begin() + 1, n.children.end());
+      const std::span<const AstId> preds = std::span(n.children).subspan(1);
       for (AstId pred : preds) {
         XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, all_targets));
       }
@@ -592,11 +637,11 @@ StatusOr<NodeSet> MinContextEngine::EvalOutermostLocpath(AstId id,
           }
           current = std::move(survivors);
         } else {
+          const StepRows rows = PrepareRows(n.children[s], y_all.ids());
           EvalWorkspace::ScratchIds row = ws_.AcquireIds();
           EvalWorkspace::ScratchIds result = ws_.AcquireIds();
           for (NodeId origin : current) {
-            XPE_RETURN_IF_ERROR(
-                SelectRow(n.children[s], origin, y_all.ids(), row.get()));
+            XPE_RETURN_IF_ERROR(SelectRow(rows, origin, row.get()));
             result->insert(result->end(), row->begin(), row->end());
           }
           SortUnique(result.get());
@@ -624,7 +669,7 @@ StatusOr<NodeSet> MinContextEngine::EvalOutermostLocpath(AstId id,
       XPE_ASSIGN_OR_RETURN(
           NodeSet head,
           EvalOutermostLocpath(n.children[0], x, kNoNodeLimit));
-      std::vector<AstId> preds(n.children.begin() + 1, n.children.end());
+      const std::span<const AstId> preds = std::span(n.children).subspan(1);
       for (AstId pred : preds) {
         XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, head));
       }

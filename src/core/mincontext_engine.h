@@ -1,6 +1,7 @@
 #ifndef XPE_CORE_MINCONTEXT_ENGINE_H_
 #define XPE_CORE_MINCONTEXT_ENGINE_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -12,6 +13,18 @@
 #include "src/exec/parallel_step.h"
 
 namespace xpe::internal {
+
+/// A predicate that normalizes to position() = k (number literal k) or
+/// position() = last(), in either operand order. The ⟨cp,cs⟩ loop keeps
+/// exactly the candidate at position k (the last one), so it can be
+/// picked from the axis-ordered list directly. `units` is what the loop
+/// charges per candidate: one for the comparison and one per
+/// position()/last() call — the literal is a tabled constant.
+struct PositionSelector {
+  bool last = false;
+  double k = 0;
+  uint64_t units = 0;
+};
 
 /// The MINCONTEXT evaluator of §3/§6, extended with the §4/§5 bottom-up
 /// path machinery that turns it into OPTMINCONTEXT. One instance performs
@@ -88,6 +101,9 @@ class MinContextEngine {
   /// same unit the linear Core XPath engine uses, so every engine's
   /// budget means the same thing).
   Status ChargeBudget(uint64_t n = 1);
+  /// Charges `n` units as n calls of ChargeBudget() would: a budget
+  /// running out among them stops at the first unit past it.
+  Status ChargeUnits(uint64_t n);
 
   // --- §6 procedures ------------------------------------------------------
   /// eval_outermost_locpath: set-valued evaluation of outermost paths.
@@ -133,14 +149,29 @@ class MinContextEngine {
   /// in place (scratch comes from the workspace pool). A predicate of the
   /// form position() = k or position() = last() picks its candidate in
   /// closed form and charges the units the ⟨cp,cs⟩ loop would have.
-  Status FilterByPredicatesSingle(const std::vector<xpath::AstId>& preds,
+  Status FilterByPredicatesSingle(std::span<const xpath::AstId> preds,
                                   std::vector<xml::NodeId>* candidates);
 
+  /// The image of a step with positional predicates, prepared once for
+  /// the SelectRow calls of all its origins.
+  struct StepRows {
+    xpath::AstId step_id;
+    std::span<const xml::NodeId> image;
+    /// Set on the sibling axes when the first predicate is a selector:
+    /// then `by_parent` holds `image` ordered by (parent, document
+    /// order), so an origin's row length and its pick are two binary
+    /// searches instead of a row.
+    std::optional<PositionSelector> rank_by;
+    EvalWorkspace::ScratchIds by_parent;
+  };
+  StepRows PrepareRows(xpath::AstId step_id,
+                       std::span<const xml::NodeId> image);
+
   /// One origin's row of a step with positional predicates: its
-  /// candidates in `image` (AppendAxisRow), filtered with positions
-  /// counted in axis order, left in `row` in document order.
-  Status SelectRow(xpath::AstId step_id, xml::NodeId origin,
-                   std::span<const xml::NodeId> image,
+  /// candidates in the image (AppendAxisRow, or the rank selection
+  /// above), filtered with positions counted in axis order, left in
+  /// `row` in document order.
+  Status SelectRow(const StepRows& rows, xml::NodeId origin,
                    std::vector<xml::NodeId>* row);
 
   // --- §4/§5 bottom-up machinery (wadler.cc) ------------------------------
@@ -155,8 +186,15 @@ class MinContextEngine {
   /// target set `y`. Returns the origin set X.
   StatusOr<NodeSet> PropagatePathBackwards(xpath::AstId path_id, NodeSet y);
 
-  /// Evaluates a context-independent node-set expression once (absolute
-  /// paths / id('k') chains used as comparison anchors).
+  /// The nodes a comparison π RelOp s must test to seed Y: those passing
+  /// the node test of π's last step (its postings when the index is on
+  /// and the test is postings-backed), since PropagatePathBackwards
+  /// restricts Y to that test first. Every node when π has no step or
+  /// ends in the id axis.
+  void SeedCandidates(xpath::AstId path_id, std::vector<xml::NodeId>* out);
+
+  /// Evaluates a context-independent node-set expression once (the head
+  /// of a path propagated backwards).
   StatusOr<NodeSet> EvalContextFreeNodeSet(xpath::AstId id);
 
   EvalWorkspace& ws_;
@@ -178,14 +216,6 @@ class MinContextEngine {
   std::vector<ScalarTable> scalar_tables_;
   std::vector<NodeTable> rel_tables_;
 };
-
-/// True when `id` is a node-set expression whose value cannot depend on
-/// the context: an absolute path, an id(s) call with a context-free
-/// argument, or a union/path-chain of such. Used to admit the
-/// "π RelOp s with s of type nset" form of eval_bottomup_path (§6) that
-/// the paper's Relev rules alone cannot express (they assign {cn} to all
-/// paths, absolute ones included).
-bool IsContextFreeNodeSet(const xpath::QueryTree& tree, xpath::AstId id);
 
 }  // namespace xpe::internal
 

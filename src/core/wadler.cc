@@ -3,8 +3,11 @@
 // propagation of node sets through inverse axes (eval_bottomup_path and
 // propagate_path_backwards of §6).
 
+#include <numeric>
+
 #include "src/common/numeric.h"
 #include "src/core/mincontext_engine.h"
+#include "src/index/step_index.h"
 
 namespace xpe::internal {
 
@@ -15,37 +18,6 @@ using xpath::BinOp;
 using xpath::ExprKind;
 using xpath::FunctionId;
 using xpath::QueryTree;
-
-bool IsContextFreeNodeSet(const QueryTree& tree, AstId id) {
-  const AstNode& n = tree.node(id);
-  switch (n.kind) {
-    case ExprKind::kPath: {
-      size_t step_begin = 0;
-      if (n.has_head) {
-        if (!IsContextFreeNodeSet(tree, n.children[0])) return false;
-        step_begin = 1;
-      } else if (!n.absolute) {
-        return false;
-      }
-      // Steps never re-introduce context dependence, but their predicates
-      // must not be position()-free is NOT required here: predicates see
-      // contexts derived from the (context-free) frontier only.
-      (void)step_begin;
-      return true;
-    }
-    case ExprKind::kUnion:
-      for (AstId child : n.children) {
-        if (!IsContextFreeNodeSet(tree, child)) return false;
-      }
-      return true;
-    case ExprKind::kFilter:
-      return IsContextFreeNodeSet(tree, n.children[0]);
-    case ExprKind::kFunctionCall:
-      return n.fn == FunctionId::kId && tree.node(n.children[0]).relev == 0;
-    default:
-      return false;
-  }
-}
 
 namespace {
 
@@ -142,10 +114,10 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
       XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, universe));
     }
     NodeSet kept_origins;
+    const StepRows rows = PrepareRows(path.children[s], universe.ids());
     EvalWorkspace::ScratchIds row = ws_.AcquireIds();
     for (NodeId origin : origins) {
-      XPE_RETURN_IF_ERROR(
-          SelectRow(path.children[s], origin, universe.ids(), row.get()));
+      XPE_RETURN_IF_ERROR(SelectRow(rows, origin, row.get()));
       bool hits_target = false;
       for (NodeId z : *row) {
         if (tested.Contains(z)) {
@@ -172,6 +144,33 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
   return current;
 }
 
+void MinContextEngine::SeedCandidates(AstId path_id,
+                                      std::vector<NodeId>* out) {
+  const AstNode& path = tree_.node(path_id);
+  out->clear();
+  const size_t step_begin = path.has_head ? 1 : 0;
+  const AstNode* last = path.children.size() > step_begin
+                            ? &tree_.node(path.children.back())
+                            : nullptr;
+  if (last == nullptr || last->axis == Axis::kId) {
+    out->resize(doc_.size());
+    std::iota(out->begin(), out->end(), NodeId{0});
+    return;
+  }
+  if (index_.use_index && index::NodeTestIndexable(last->test)) {
+    const index::PostingsView postings = index::StepPostings(
+        doc_, doc_.index_view(index_.tier), last->axis, last->test);
+    out->resize(postings.size());
+    postings.Decode(0, postings.size(), out->data());
+    return;
+  }
+  for (NodeId node = 0; node < doc_.size(); ++node) {
+    if (MatchesNodeTest(doc_, last->axis, last->test, node)) {
+      out->push_back(node);
+    }
+  }
+}
+
 Status MinContextEngine::EvalBottomUpPath(AstId id) {
   const AstNode& n = tree_.node(id);
   if (scalar_table(id).bottom_up_done) return Status::OK();
@@ -194,8 +193,8 @@ Status MinContextEngine::EvalBottomUpPath(AstId id) {
     path_on_left = lns;
   }
 
-  // Step 1: the initial node set Y (and, for comparisons, the anchor
-  // value of the context-independent operand s).
+  // Step 1: the initial node set Y (and, for π RelOp b, the anchor value
+  // of the context-independent operand).
   NodeSet y;
   bool bool_anchor = false;
   bool bool_anchor_value = false;
@@ -207,38 +206,24 @@ Status MinContextEngine::EvalBottomUpPath(AstId id) {
     const AstNode& s = tree_.node(scalar_id);
     // The operand is context-independent; evaluate it once.
     XPE_RETURN_IF_ERROR(EvalByCnodeOnly(scalar_id, NodeSet::Single(0)));
-    // Each node is tested as the left operand: s RelOp π is π RelOp' s
-    // with the mirrored operator. Y holds the nodes passing some test.
-    const BinOp node_op = path_on_left ? op : MirrorOp(op);
-    std::vector<NodeScalarTest> tests;
-    if (s.type == xpath::ValueType::kNodeSet) {
-      // π RelOp S with S a context-free node-set (§6's nset case): one
-      // test per anchor node, against its string-value.
-      XPE_ASSIGN_OR_RETURN(NodeSet anchor, EvalContextFreeNodeSet(scalar_id));
-      for (NodeId a : anchor) {
-        tests.emplace_back(node_op, Value::String(doc_.StringValue(a)));
-      }
+    XPE_ASSIGN_OR_RETURN(Value s_val, EvalSingleContext(scalar_id, 0, 0, 0));
+    if (s.type == xpath::ValueType::kBoolean) {
+      // π RelOp b behaves like boolean(π) RelOp b: propagate with
+      // Y = dom and compare the existence bit afterwards.
+      y = NodeSet::Universe(dom_size);
+      bool_anchor = true;
+      bool_anchor_value = s_val.boolean();
     } else {
-      XPE_ASSIGN_OR_RETURN(Value s_val, EvalSingleContext(scalar_id, 0, 0, 0));
-      if (s.type == xpath::ValueType::kBoolean) {
-        // π RelOp b behaves like boolean(π) RelOp b: propagate with
-        // Y = dom and compare the existence bit afterwards.
-        y = NodeSet::Universe(dom_size);
-        bool_anchor = true;
-        bool_anchor_value = s_val.boolean();
-      } else {
-        tests.emplace_back(node_op, s_val);
-      }
-    }
-    if (!bool_anchor) {
-      for (NodeId node = 0; node < dom_size; ++node) {
-        XPE_RETURN_IF_ERROR(ChargeBudget());
-        for (const NodeScalarTest& test : tests) {
-          if (test(doc_, node)) {
-            y.PushBackOrdered(node);
-            break;
-          }
-        }
+      // One budget unit per document node, however few candidates the
+      // node test leaves.
+      XPE_RETURN_IF_ERROR(ChargeUnits(dom_size));
+      // Each node is tested as the left operand: s RelOp π is π RelOp' s
+      // with the mirrored operator.
+      const NodeScalarTest test(path_on_left ? op : MirrorOp(op), s_val);
+      EvalWorkspace::ScratchIds candidates = ws_.AcquireIds();
+      SeedCandidates(path_id, candidates.get());
+      for (NodeId node : *candidates) {
+        if (test(doc_, node)) y.PushBackOrdered(node);
       }
     }
   }

@@ -150,12 +150,27 @@ template <typename Seq>
 void ChildStep(const Document& doc, const Seq& postings,
                std::span<const NodeId> x, std::vector<NodeId>* out,
                uint64_t limit) {
-  // Each candidate in the window pays one O(log |X|) parent probe.
+  // One merge pass over the window and X. `cursor` is the last origin
+  // before the candidate c, and no origin lies between it and c, so
+  // parent(c) is an origin only if it is the cursor, or if it precedes
+  // the cursor and contains it. The second case needs an origin nested
+  // inside an earlier one; only then does c pay a binary search.
   auto [begin, end] = ChildWindow(doc, postings, x);
-  postings.Scan(begin, end, [&](NodeId id) {
+  size_t cursor = 0;
+  NodeId covered_end = doc.subtree_end(x[0]);
+  bool nested = false;
+  postings.Scan(begin, end, [&](NodeId c) {
     if (AtLimit(out, limit)) return false;
-    if (std::binary_search(x.begin(), x.end(), doc.parent(id))) {
-      PushOrdered(out, id);
+    while (cursor + 1 < x.size() && x[cursor + 1] < c) {
+      ++cursor;
+      nested = nested || x[cursor] < covered_end;
+      covered_end = std::max(covered_end, doc.subtree_end(x[cursor]));
+    }
+    const NodeId parent = doc.parent(c);
+    if (parent == x[cursor] ||
+        (nested && parent < x[cursor] &&
+         std::binary_search(x.begin(), x.begin() + cursor, parent))) {
+      PushOrdered(out, c);
     }
     return true;
   });

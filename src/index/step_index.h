@@ -37,8 +37,10 @@ namespace xpe::index {
 ///  - descendant/descendant-or-self: binary-search merge of P against the
 ///    disjoint maximal subtree intervals [x, subtree_end(x)) of X —
 ///    O(X + occ + log P);
-///  - child: postings scan over the covering interval with an O(log X)
-///    parent membership probe per candidate;
+///  - child: one merge pass over the covering interval's postings and X,
+///    O(window + X) on disjoint origins (a candidate whose parent
+///    precedes the last origin before it pays an O(log X) probe, which
+///    only nested origins need);
 ///  - ancestor/ancestor-or-self: one O(log X) interval probe per posting,
 ///    O(P log X);
 ///  - attribute: per-origin binary search of the attribute postings;

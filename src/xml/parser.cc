@@ -150,6 +150,7 @@ class XmlParser {
   }
 
   Status ParseAttributeValue(std::string* out) {
+    if (AtEnd()) return Error("unterminated attribute value");
     char quote = Peek();
     if (quote != '"' && quote != '\'') {
       return Error("attribute value must be quoted");

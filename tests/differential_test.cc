@@ -71,6 +71,15 @@ const char* kQueryCorpus[] = {
     "//a[b >= '50']",
     "//a[/descendant::c = b]",
     "//a[/descendant::c < b]",
+    // Bottom-up comparisons seeded from their last step's node test: kind
+    // tests (a scan even with the index on) and tests that drop text
+    // nodes or attributes passing the comparison.
+    "//a[text() = 100]",
+    "//a[node() = 100]",
+    "//a[* = 100]",
+    "//a[b/text() >= 50]",
+    "//a[/descendant::b = 100]",
+    "//*[@id != 'n10']",
 };
 
 /// The index axis every differential loop sweeps: no index at all, the

@@ -235,6 +235,9 @@ void ExpectPins(const xml::Document& doc, std::span<const StatsPin> pins) {
 // per-origin rows and closed-form [k]/[last()] selectors must charge
 // exactly what testing every (origin, target) pair and the per-candidate
 // ⟨cp,cs⟩ loop of §3.1 charge: every counter, arena bytes included.
+// OPTMINCONTEXT's bottom-up comparisons π RelOp s test only the nodes
+// passing the node test of π's last step, so their backward pass starts
+// from that subset of Y and counts fewer contexts and visited nodes.
 TEST(CounterPinTest, AnalyticsFamilies) {
   const xml::Document doc = xml::MakeAuctionDocument(120, 1);
   constexpr StatsPin kPins[] = {
@@ -244,8 +247,8 @@ TEST(CounterPinTest, AnalyticsFamilies) {
        "arena_bytes_peak=95744 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
-       "contexts_evaluated=2341 axis_evals=2 indexed_steps=4 "
-       "nodes_visited=636 arena_bytes_peak=0 count_fast_path=0 "
+       "contexts_evaluated=2050 axis_evals=2 indexed_steps=4 "
+       "nodes_visited=345 arena_bytes_peak=0 count_fast_path=0 "
        "pruned_by_summary=0 budget_trips=0"},
       {"//person[city = 'Graz']/name",
        "cells_allocated=601 cells_live=361 cells_peak=361 "
@@ -253,8 +256,8 @@ TEST(CounterPinTest, AnalyticsFamilies) {
        "arena_bytes_peak=66560 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
-       "contexts_evaluated=1973 axis_evals=1 indexed_steps=3 "
-       "nodes_visited=246 arena_bytes_peak=0 count_fast_path=0 "
+       "contexts_evaluated=1948 axis_evals=1 indexed_steps=3 "
+       "nodes_visited=221 arena_bytes_peak=0 count_fast_path=0 "
        "pruned_by_summary=0 budget_trips=0"},
       {"id(//open_auction[current > 80]/itemref)/name",
        "cells_allocated=201 cells_live=121 cells_peak=121 "
@@ -262,8 +265,8 @@ TEST(CounterPinTest, AnalyticsFamilies) {
        "arena_bytes_peak=62976 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
-       "contexts_evaluated=2142 axis_evals=1 indexed_steps=4 "
-       "nodes_visited=305 arena_bytes_peak=0 count_fast_path=0 "
+       "contexts_evaluated=1938 axis_evals=1 indexed_steps=4 "
+       "nodes_visited=101 arena_bytes_peak=0 count_fast_path=0 "
        "pruned_by_summary=0 budget_trips=0"},
       {"//personref/ancestor::open_auction",
        "cells_allocated=0 cells_live=0 cells_peak=0 contexts_evaluated=99 "
@@ -329,7 +332,7 @@ TEST(CounterPinTest, RunningExample) {
        "arena_bytes_peak=5440 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=100 cells_live=100 cells_peak=100 "
-       "contexts_evaluated=614 axis_evals=1 indexed_steps=3 nodes_visited=135 "
+       "contexts_evaluated=606 axis_evals=1 indexed_steps=3 nodes_visited=127 "
        "arena_bytes_peak=0 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0"},
   };
@@ -341,10 +344,28 @@ TEST(CounterPinTest, RunningExample) {
 // contexts_evaluated stopping at the first unit past the budget.
 TEST(BudgetTest, TripsInsideASelectorRow) {
   const xml::Document doc = xml::MakeAuctionDocument(12, 1);
-  // One origin whose row holds every open_auction: the three steps charge
-  // one unit each, the selector row the rest.
-  for (const char* query : {"/site/open_auctions/open_auction[last()]",
-                            "/site/open_auctions/open_auction[1]"}) {
+  const char* kQueries[] = {
+      // One origin whose row holds every open_auction: the three steps
+      // charge one unit each, the selector row the rest.
+      "/site/open_auctions/open_auction[last()]",
+      "/site/open_auctions/open_auction[1]",
+      // Rank-selected sibling rows of the twelve persons, as an outermost
+      // step, in an inner path under count(), and in a path under a
+      // boolean predicate (propagated bottom-up by OPTMINCONTEXT).
+      "/site/people/person/following-sibling::person[1]",
+      "/site/people/person/following-sibling::person[last()]",
+      "/site/people/person/preceding-sibling::person[1]",
+      "/site/people/person/preceding-sibling::person[last()]",
+      "/site/people[count(person/following-sibling::person[1]) = 11]",
+      "/site/people[count(person/following-sibling::person[last()]) = 11]",
+      "/site/people[count(person/preceding-sibling::person[1]) = 11]",
+      "/site/people[count(person/preceding-sibling::person[last()]) = 11]",
+      "//*[following-sibling::*[1]]",
+      "//*[following-sibling::*[last()]]",
+      "//*[preceding-sibling::*[1]]",
+      "//*[preceding-sibling::*[last()]]",
+  };
+  for (const char* query : kQueries) {
     for (EngineKind engine :
          {EngineKind::kMinContext, EngineKind::kOptMinContext}) {
       EvalStats unbounded;

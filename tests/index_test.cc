@@ -95,7 +95,9 @@ TEST(DocumentIndexTest, UnknownAndUnnamedLookupsAreEmpty) {
 
 /// Every eligible (axis, test) pair, evaluated from assorted origin sets
 /// on random documents: the indexed kernel must reproduce the scan path
-/// node for node.
+/// node for node, both behind IndexedStep's cost gate and called directly
+/// on each tier (the gate sends broad child and ancestor steps to the
+/// scan, and IndexedStep runs the hot tier only).
 TEST(StepIndexTest, IndexedStepMatchesScanPath) {
   const std::vector<NodeTest> tests = {NameTest("a"), NameTest("b"),
                                        NameTest("nosuch"), NameTest("id"),
@@ -103,7 +105,9 @@ TEST(StepIndexTest, IndexedStepMatchesScanPath) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     xml::Document doc = xml::MakeRandomDocument(60, {"a", "b", "c"}, seed);
     const DocumentIndex& idx = doc.index();
-    // Origin sets: every node alone, plus stride-3 and stride-7 sets.
+    // Origin sets: every node alone, stride-3 and stride-7 sets (nested
+    // origins), every other child of the document element (disjoint
+    // origins with gaps between them) and the universe.
     std::vector<NodeSet> origin_sets;
     for (NodeId id = 0; id < doc.size(); ++id) {
       origin_sets.push_back(NodeSet::Single(id));
@@ -115,6 +119,15 @@ TEST(StepIndexTest, IndexedStepMatchesScanPath) {
       }
       origin_sets.push_back(std::move(set));
     }
+    NodeSet alternate;
+    bool take = true;
+    for (NodeId id = 0; id < doc.size(); ++id) {
+      if (doc.parent(id) != 1 || doc.IsAttribute(id)) continue;
+      if (take) alternate.PushBackOrdered(id);
+      take = !take;
+    }
+    ASSERT_GT(alternate.size(), 1u) << "seed " << seed;
+    origin_sets.push_back(std::move(alternate));
     origin_sets.push_back(NodeSet::Universe(doc.size()));
 
     for (int a = 0; a < kNumAxes; ++a) {
@@ -129,6 +142,18 @@ TEST(StepIndexTest, IndexedStepMatchesScanPath) {
               << "seed " << seed << " axis " << AxisToString(axis) << " test "
               << test.ToString() << " |x|=" << x.size() << "\nscan    "
               << scan.ToString() << "\nindexed " << indexed.ToString();
+          for (index::IndexTier tier :
+               {index::IndexTier::kHot, index::IndexTier::kDense}) {
+            const index::PostingsView postings =
+                index::StepPostings(doc, doc.index_view(tier), axis, test);
+            std::vector<NodeId> out;
+            index::IndexedStepOverPostingsInto(doc, postings, axis, test,
+                                               x.ids(), &out);
+            ASSERT_EQ(out, scan.ids())
+                << "seed " << seed << " axis " << AxisToString(axis)
+                << " test " << test.ToString() << " |x|=" << x.size()
+                << " tier " << static_cast<int>(tier);
+          }
         }
       }
     }

@@ -218,7 +218,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadXmlCase{"UnterminatedDoctype", "<!DOCTYPE a <a/>"},
         BadXmlCase{"BadName", "<1a/>"},
         BadXmlCase{"SpaceBeforeName", "< a/>"},
-        BadXmlCase{"EofInAttrValue", "<a x=\"1"}),
+        BadXmlCase{"EofInAttrValue", "<a x=\"1"},
+        BadXmlCase{"EofAfterAttrEquals", "<a x="},
+        BadXmlCase{"EofAfterAttrEqualsSpace", "<a x= "}),
     [](const testing::TestParamInfo<BadXmlCase>& info) {
       return info.param.name;
     });
