@@ -13,7 +13,6 @@
 #include "src/core/engine_internal.h"
 #include "src/core/functions.h"
 #include "src/core/step_common.h"
-#include "src/exec/parallel_step.h"
 
 namespace xpe::internal {
 
@@ -34,17 +33,12 @@ constexpr NodeId kMaxBottomUpDocument = 192;
 
 class BottomUpEvaluator {
  public:
-  BottomUpEvaluator(EvalWorkspace& ws, const QueryTree& tree,
-                    const Document& doc, const EvalOptions& options)
+  BottomUpEvaluator(EvalWorkspace& ws, const QueryTree& tree, StepContext& sc)
       : ws_(ws),
         tree_(tree),
-        doc_(doc),
-        stats_(options.stats),
-        profile_(options.profile),
-        budget_(options.budget),
-        index_(ResolveIndexChoice(doc, options)),
-        parallel_(exec::MakePolicy(options.parallel, options.result.mode)),
-        n_(doc.size()),
+        sc_(sc),
+        doc_(sc.doc),
+        n_(doc_.size()),
         tri_size_(static_cast<size_t>(n_) * (n_ + 1) / 2),
         scalar_tables_(tree.size()),
         rel_tables_(tree.size()) {}
@@ -85,16 +79,10 @@ class BottomUpEvaluator {
   }
 
  private:
+  /// E↑ charges one budget unit per table cell it writes.
   Status Charge(uint64_t cells) {
-    used_ += cells;
-    if (stats_ != nullptr) {
-      stats_->contexts_evaluated += cells;
-      stats_->AddCells(cells);
-    }
-    if (budget_ > 0 && used_ > budget_) {
-      return Status::ResourceExhausted("evaluation budget exceeded");
-    }
-    return Status::OK();
+    sc_.stats().AddCells(cells);
+    return sc_.Charge(cells);
   }
 
   /// Scalar value of child `id` at a full context triple.
@@ -271,8 +259,7 @@ class BottomUpEvaluator {
     for (NodeId x = 0; x < n_; ++x) {
       for (NodeId y : rel->Row(x)) in_frontier.Set(y);
     }
-    const StepKernel kernel(doc_, step, index_, stats_, profile_, step_id,
-                            &parallel_);
+    const StepKernel kernel(sc_, step, step_id);
     NodeTable step_of;
     step_of.Reset(ws_.arena(), n_);
     EvalWorkspace::ScratchIds candidates = ws_.AcquireIds();
@@ -281,7 +268,7 @@ class BottomUpEvaluator {
     for (NodeId y = 0; y < n_; ++y) {
       if (!in_frontier.Test(y)) continue;
       if (step.axis == Axis::kId) {
-        if (stats_ != nullptr) ++stats_->axis_evals;
+        ++sc_.stats().axis_evals;
         const std::vector<NodeId>& targets = doc_.IdAxisForward(y);
         candidates->assign(targets.begin(), targets.end());
         SortUnique(candidates.get());
@@ -322,15 +309,8 @@ class BottomUpEvaluator {
 
   EvalWorkspace& ws_;
   const QueryTree& tree_;
+  StepContext& sc_;
   const Document& doc_;
-  EvalStats* stats_;
-  obs::QueryProfile* profile_;
-  uint64_t budget_;
-  IndexChoice index_;
-  /// Per-origin frontiers are single nodes, but descendant steps still
-  /// partition their subtree-interval domain (exec/parallel_step.h).
-  exec::ParallelPolicy parallel_;
-  uint64_t used_ = 0;
   const NodeId n_;
   const size_t tri_size_;
   std::vector<std::vector<Value>> scalar_tables_;
@@ -341,16 +321,15 @@ class BottomUpEvaluator {
 
 StatusOr<Value> EvalBottomUp(EvalWorkspace& ws,
                              const xpath::CompiledQuery& query,
-                             const xml::Document& doc, const EvalContext& ctx,
-                             const EvalOptions& options) {
-  if (doc.size() > kMaxBottomUpDocument) {
+                             const EvalContext& ctx, StepContext& sc) {
+  if (sc.doc.size() > kMaxBottomUpDocument) {
     return StatusOr<Value>(Status::ResourceExhausted(
         "E-up materializes |dom|^3-row tables; refusing documents with more "
         "than " +
         std::to_string(kMaxBottomUpDocument) +
         " nodes (use MINCONTEXT/OPTMINCONTEXT instead)"));
   }
-  BottomUpEvaluator evaluator(ws, query.tree(), doc, options);
+  BottomUpEvaluator evaluator(ws, query.tree(), sc);
   XPE_RETURN_IF_ERROR(evaluator.Build(query.root()));
   return evaluator.Result(ctx);
 }

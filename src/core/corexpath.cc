@@ -15,18 +15,13 @@
 //  - result: the node limit of the early-terminating modes
 //    (ResultSpec::node_limit) bounds the outermost path's final step,
 //    so Exists()/First()/Limit(n) stop the postings walk after the
-//    limit-th match instead of materializing the full result. The
-//    `descendant-or-self::node()/child::t → descendant::t` fusion that
-//    makes `//t` probes O(1) happens at compile time now
-//    (src/xpath/optimize.h), for every result mode — this engine just
-//    runs the plan it is given.
+//    limit-th match instead of materializing the full result.
 
 #include <algorithm>
 #include <numeric>
 
 #include "src/core/engine_internal.h"
 #include "src/core/step_common.h"
-#include "src/exec/parallel_step.h"
 
 namespace xpe::internal {
 
@@ -44,15 +39,8 @@ using xpath::QueryTree;
 class CoreXPathEvaluator {
  public:
   CoreXPathEvaluator(EvalWorkspace& ws, const QueryTree& tree,
-                     const Document& doc, const EvalOptions& options)
-      : ws_(ws),
-        tree_(tree),
-        doc_(doc),
-        stats_(options.stats),
-        profile_(options.profile),
-        budget_(options.budget),
-        index_(ResolveIndexChoice(doc, options)),
-        parallel_(exec::MakePolicy(options.parallel, options.result.mode)) {}
+                     StepContext& sc)
+      : ws_(ws), tree_(tree), sc_(sc), doc_(sc.doc) {}
 
   /// Forward evaluation of a Core XPath location path from start set `x`
   /// into `out` (a pooled scratch buffer). `limit` is the document-order
@@ -76,13 +64,12 @@ class CoreXPathEvaluator {
     for (size_t s = 0; s < k; ++s) {
       const AstNode& step = tree_.node(n.children[s]);
       const bool is_last = s + 1 == k;
-      XPE_RETURN_IF_ERROR(ChargeBudget(current->size()));
+      XPE_RETURN_IF_ERROR(sc_.Charge(current->size()));
       // A predicate-free final step can stop at the limit-th emission;
       // with predicates the candidates must be filtered first.
       const uint64_t step_limit =
           is_last && step.children.empty() ? limit : kNoNodeLimit;
-      StepKernel(doc_, step, index_, stats_, profile_, n.children[s],
-                 &parallel_)
+      StepKernel(sc_, step, n.children[s])
           .EvalInto(*current, candidates.get(), step_limit);
       for (AstId pred : step.children) {
         XPE_RETURN_IF_ERROR(PredSet(pred, *candidates, sel.get()));
@@ -93,7 +80,7 @@ class CoreXPathEvaluator {
         candidates->resize(limit);
       }
       std::swap(*current, *candidates);
-      if (stats_ != nullptr) stats_->AddCells(current->size());
+      sc_.stats().AddCells(current->size());
       if (current->empty()) break;  // nothing downstream
     }
     std::swap(*out, *current);
@@ -152,22 +139,21 @@ class CoreXPathEvaluator {
     EvalWorkspace::ScratchIds tmp = ws_.AcquireIds();
     for (size_t s = path.children.size(); s-- > 0;) {
       const AstNode& step = tree_.node(path.children[s]);
-      XPE_RETURN_IF_ERROR(ChargeBudget(current->size()));
-      RestrictByNodeTestInto(doc_, step.axis, step.test, *current, index_,
-                             stats_, tested.get(), profile_, path.children[s],
-                             &parallel_);
+      XPE_RETURN_IF_ERROR(sc_.Charge(current->size()));
+      RestrictByNodeTestInto(sc_, step, path.children[s], *current,
+                             tested.get());
       for (AstId pred : step.children) {
         XPE_RETURN_IF_ERROR(PredSet(pred, *tested, sel.get()));
         IntersectInto(*tested, *sel, tmp.get());
         std::swap(*tested, *tmp);
       }
-      if (stats_ != nullptr) ++stats_->axis_evals;
+      ++sc_.stats().axis_evals;
       // The inverse-axis pass stays NodeSet-valued (axis.cc's single
       // per-step allocations, not per-row ones).
       const NodeSet origins =
           EvalAxisInverse(doc_, step.axis, NodeSet::FromSorted(*tested));
       current->assign(origins.begin(), origins.end());
-      if (stats_ != nullptr) stats_->AddCells(current->size());
+      sc_.stats().AddCells(current->size());
     }
     if (path.absolute) {
       const bool reaches_root =
@@ -184,46 +170,27 @@ class CoreXPathEvaluator {
   }
 
  private:
-  /// One budget unit per (step, frontier node); see EvalOptions::budget.
-  Status ChargeBudget(uint64_t n) {
-    used_ += n;
-    if (stats_ != nullptr) stats_->contexts_evaluated += n;
-    if (budget_ > 0 && used_ > budget_) {
-      return Status::ResourceExhausted("evaluation budget exceeded");
-    }
-    return Status::OK();
-  }
-
   EvalWorkspace& ws_;
   const QueryTree& tree_;
+  StepContext& sc_;
   const Document& doc_;
-  EvalStats* stats_;
-  obs::QueryProfile* profile_;
-  const uint64_t budget_;
-  uint64_t used_ = 0;
-  const IndexChoice index_;
-  /// Resolved once per evaluation; every step kernel shares it.
-  const exec::ParallelPolicy parallel_;
 };
 
 }  // namespace
 
 StatusOr<Value> EvalCoreXPath(EvalWorkspace& ws,
                               const xpath::CompiledQuery& query,
-                              const xml::Document& doc,
-                              const EvalContext& ctx,
-                              const EvalOptions& options) {
+                              const EvalContext& ctx, StepContext& sc) {
   const xpath::AstNode& root = query.tree().node(query.root());
   if (root.kind != xpath::ExprKind::kPath || !root.core_xpath) {
     return StatusOr<Value>(Status::InvalidArgument(
         "query is not in Core XPath (Definition 12): " + query.source()));
   }
-  CoreXPathEvaluator evaluator(ws, query.tree(), doc, options);
+  CoreXPathEvaluator evaluator(ws, query.tree(), sc);
   EvalWorkspace::ScratchIds result = ws.AcquireIds();
   const xml::NodeId start = ctx.node;
   XPE_RETURN_IF_ERROR(evaluator.EvalPath(query.root(), {&start, 1},
-                                         result.get(),
-                                         options.result.node_limit()));
+                                         result.get(), sc.node_limit));
   return Value::Nodes(NodeSet::FromSorted(*result));
 }
 

@@ -123,8 +123,8 @@ Value ApplyResultSpec(Value v, const ResultSpec& spec) {
 /// `*out` (a Number) when the shape applies; stats are charged here
 /// because the engines never see the evaluation.
 bool TryCountFastPath(const xpath::CompiledQuery& query,
-                      const xml::Document& doc, const EvalContext& context,
-                      const EvalOptions& options, Value* out) {
+                      const EvalContext& context, const EvalOptions& options,
+                      const StepContext& sc, Value* out) {
   // The naive engine stays the index-free executable specification.
   if (!options.use_index || options.engine == EngineKind::kNaive) return false;
   const xpath::QueryTree& tree = query.tree();
@@ -151,35 +151,24 @@ bool TryCountFastPath(const xpath::CompiledQuery& query,
        step.axis != Axis::kDescendantOrSelf)) {
     return false;
   }
+  const xml::Document& doc = sc.doc;
   const xml::NodeId origin = node->absolute ? doc.root() : context.node;
-  const uint64_t t0 = options.profile != nullptr ? obs::MonotonicNanos() : 0;
-  const IndexChoice index = ResolveIndexChoice(doc, options);
+  const uint64_t t0 = sc.StepStart();
   const index::PostingsView postings = index::StepPostings(
-      doc, doc.index_view(index.tier), step.axis, step.test);
+      doc, doc.index_view(sc.tier), step.axis, step.test);
   // The postings hold only the principal-node-type matches of the test,
   // so counting them inside the subtree interval is exact — including
   // the descendant-or-self origin itself when it matches.
   const xml::NodeId lo =
       step.axis == Axis::kDescendant ? origin + 1 : origin;
   const uint64_t count = postings.CountInRange(lo, doc.subtree_end(origin));
-  const uint64_t visited =
-      1 + std::bit_width(static_cast<uint64_t>(postings.size()));
-  if (options.stats != nullptr) {
-    ++options.stats->contexts_evaluated;
-    ++options.stats->indexed_steps;
-    options.stats->nodes_visited += visited;
-    ++options.stats->count_fast_path;
-  }
-  if (options.profile != nullptr) {
-    // One row for the whole query: frontier is the single origin, the
-    // "produced" result is the count itself, and the visited charge is
-    // the same O(log) figure the stats carry — keeping the profiler's
-    // rows-account-for-stats invariant.
-    options.profile->RecordStep(node->children[0],
-                                obs::MonotonicNanos() - t0,
-                                /*frontier=*/1, /*produced=*/count, visited,
-                                /*indexed=*/true);
-  }
+  ++sc.stats().contexts_evaluated;
+  ++sc.stats().count_fast_path;
+  // One row for the whole query: frontier is the single origin and the
+  // "produced" result is the count itself.
+  sc.RecordStep(node->children[0], t0, /*frontier=*/1, /*produced=*/count,
+                1 + std::bit_width(static_cast<uint64_t>(postings.size())),
+                /*indexed=*/true);
   static obs::Counter* fast_path_total =
       obs::Registry::Global().GetCounter("xpe_count_fast_path_total");
   fast_path_total->Increment();
@@ -199,8 +188,8 @@ bool TryCountFastPath(const xpath::CompiledQuery& query,
 /// sets `*out` (already in the result mode's shape — ApplyResultSpec
 /// must not run again) when the prune fires.
 bool TrySummaryPrune(const xpath::CompiledQuery& query,
-                     const xml::Document& doc, const EvalContext& context,
-                     const EvalOptions& options, Value* out) {
+                     const EvalContext& context, const EvalOptions& options,
+                     const StepContext& sc, Value* out) {
   // The naive engine stays the analysis-free executable specification.
   if (!options.analyze || options.engine == EngineKind::kNaive) return false;
   // The Core XPath engine rejects queries outside its fragment; a prune
@@ -209,9 +198,9 @@ bool TrySummaryPrune(const xpath::CompiledQuery& query,
       query.fragment() != xpath::Fragment::kCoreXPath) {
     return false;
   }
-  const uint64_t t0 = options.profile != nullptr ? obs::MonotonicNanos() : 0;
+  const uint64_t t0 = sc.StepStart();
   const analyze::QueryAnalysis analysis =
-      analyze::AnalyzeQuery(query, doc, doc.summary(), context.node);
+      analyze::AnalyzeQuery(query, sc.doc, sc.doc.summary(), context.node);
   Value answer;
   if (analysis.proves_empty()) {
     switch (options.result.mode) {
@@ -233,29 +222,23 @@ bool TrySummaryPrune(const xpath::CompiledQuery& query,
   } else {
     return false;
   }
-  if (options.stats != nullptr) {
-    ++options.stats->contexts_evaluated;
-    options.stats->nodes_visited += analysis.steps_analyzed;
-    ++options.stats->pruned_by_summary;
-  }
-  if (options.profile != nullptr) {
-    // One row, keyed to the step the analysis failed at (the root when
-    // the verdict came from a constant boolean/count root), carrying
-    // the same O(|Q|) visited charge as the stats — the profiler's
-    // rows-account-for-stats invariant holds through the prune.
-    xpath::AstId culprit = query.tree().root();
-    for (const analyze::StepAnalysis& s : analysis.steps) {
-      if (s.verdict == analyze::StepVerdict::kEmpty) {
-        culprit = s.step;
-        break;
-      }
+  ++sc.stats().contexts_evaluated;
+  ++sc.stats().pruned_by_summary;
+  // One row, keyed to the step the analysis failed at (the root when
+  // the verdict came from a constant boolean/count root), carrying the
+  // analyzer's O(|Q|) step count as its visited charge.
+  xpath::AstId culprit = query.tree().root();
+  for (const analyze::StepAnalysis& s : analysis.steps) {
+    if (s.verdict == analyze::StepVerdict::kEmpty) {
+      culprit = s.step;
+      break;
     }
-    options.profile->RecordPhase("summary", obs::MonotonicNanos() - t0);
-    options.profile->RecordStep(culprit, obs::MonotonicNanos() - t0,
-                                /*frontier=*/1, /*produced=*/0,
-                                /*nodes_visited=*/analysis.steps_analyzed,
-                                /*indexed=*/false);
   }
+  if (sc.profile != nullptr) {
+    sc.profile->RecordPhase("summary", obs::MonotonicNanos() - t0);
+  }
+  sc.RecordStep(culprit, t0, /*frontier=*/1, /*produced=*/0,
+                analysis.steps_analyzed, /*indexed=*/false);
   static obs::Counter* pruned_total =
       obs::Registry::Global().GetCounter("xpe_analyze_pruned_total");
   pruned_total->Increment();
@@ -266,32 +249,34 @@ bool TrySummaryPrune(const xpath::CompiledQuery& query,
 /// Runs the engine options.engine names; the dispatcher reduces its
 /// answer to the result mode afterwards.
 StatusOr<Value> RunEngine(EvalWorkspace& ws, const xpath::CompiledQuery& query,
-                          const xml::Document& doc, const EvalContext& context,
-                          const EvalOptions& options) {
+                          const EvalContext& context,
+                          const EvalOptions& options, StepContext& sc) {
   switch (options.engine) {
     case EngineKind::kNaive:
       // The naive engine ignores the node limit (it is the executable
       // specification); ApplyResultSpec still answers every mode
       // correctly.
-      return internal::EvalNaive(query, doc, context, options);
+      return internal::EvalNaive(query, sc.doc, context, options);
     case EngineKind::kBottomUp:
-      return internal::EvalBottomUp(ws, query, doc, context, options);
+      return internal::EvalBottomUp(ws, query, context, sc);
     case EngineKind::kTopDown:
-      return internal::EvalTopDown(ws, query, doc, context, options);
+      return internal::EvalTopDown(ws, query, context, sc);
     case EngineKind::kMinContext:
-      return internal::EvalMinContext(ws, query, doc, context, options,
-                                      /*optimized=*/false);
+      return internal::EvalMinContext(ws, query, context, sc,
+                                      /*optimized=*/false,
+                                      options.ablate_outermost_sets);
     case EngineKind::kOptMinContext:
       // Algorithm 8 + Theorem 13: a fully Core XPath query runs on the
       // linear-time engine; otherwise bottom-up passes + MINCONTEXT.
       if (query.fragment() == xpath::Fragment::kCoreXPath &&
           !options.ablate_outermost_sets) {
-        return internal::EvalCoreXPath(ws, query, doc, context, options);
+        return internal::EvalCoreXPath(ws, query, context, sc);
       }
-      return internal::EvalMinContext(ws, query, doc, context, options,
-                                      /*optimized=*/true);
+      return internal::EvalMinContext(ws, query, context, sc,
+                                      /*optimized=*/true,
+                                      options.ablate_outermost_sets);
     case EngineKind::kCoreXPath:
-      return internal::EvalCoreXPath(ws, query, doc, context, options);
+      return internal::EvalCoreXPath(ws, query, context, sc);
   }
   return StatusOr<Value>(Status::InvalidArgument("unknown engine"));
 }
@@ -332,13 +317,14 @@ StatusOr<Value> internal::EvaluateWith(EvalWorkspace& ws,
   // path — answer before any engine runs, with the result already in the
   // mode's shape, so ApplyResultSpec must not run on them (kCount's
   // reduction expects a node-set). Every path shares the epilogue below.
+  StepContext sc(doc, options);
   Value shortcut;
   const bool answered =
-      TrySummaryPrune(query, doc, context, options, &shortcut) ||
-      TryCountFastPath(query, doc, context, options, &shortcut);
+      TrySummaryPrune(query, context, options, sc, &shortcut) ||
+      TryCountFastPath(query, context, options, sc, &shortcut);
   StatusOr<Value> result = answered
                                ? StatusOr<Value>(std::move(shortcut))
-                               : RunEngine(ws, query, doc, context, options);
+                               : RunEngine(ws, query, context, options, sc);
   if (options.profile != nullptr) {
     options.profile->RecordPhase("eval", obs::MonotonicNanos() - eval_t0);
   }

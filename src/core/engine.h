@@ -125,11 +125,16 @@ struct EvalOptions {
   EngineKind engine = EngineKind::kOptMinContext;
   /// Optional instrumentation sink; counters are added to, not reset.
   EvalStats* stats = nullptr;
-  /// Abort with kResourceExhausted after this many single-context
-  /// evaluations (0 = unlimited). Guards the exponential naive engine;
-  /// the linear Core XPath engine charges one unit per (location step,
-  /// frontier node) pair so runaway queries on huge documents are
-  /// bounded there too.
+  /// Abort with kResourceExhausted once the evaluation needs more than
+  /// this many units of EvalStats::contexts_evaluated (0 = unlimited).
+  /// A unit is one single-context evaluation; the set-valued passes
+  /// (Core XPath's steps, MINCONTEXT's outermost paths, step relations
+  /// and backward propagation) charge one per (location step, frontier
+  /// node) pair and E↑ one per table cell, so runaway queries on huge
+  /// documents are bounded in every engine. All engines but the naive
+  /// one share one meter (StepContext::Charge): a trip reads
+  /// contexts_evaluated == budget + 1 and budget_trips == 1. The naive
+  /// engine stops at exactly `budget` units.
   uint64_t budget = 0;
   /// Result shape / early-termination contract; see ResultSpec.
   ResultSpec result;

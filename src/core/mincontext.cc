@@ -6,7 +6,6 @@
 
 namespace xpe::internal {
 
-using xml::Document;
 using xml::NodeId;
 using xpath::AstId;
 using xpath::AstNode;
@@ -16,41 +15,21 @@ using xpath::FunctionId;
 using xpath::QueryTree;
 
 MinContextEngine::MinContextEngine(EvalWorkspace& ws, const QueryTree& tree,
-                                   const Document& doc,
-                                   const EvalOptions& options)
+                                   StepContext& sc, bool ablate_outermost_sets)
     : ws_(ws),
       tree_(tree),
-      doc_(doc),
-      stats_(options.stats),
-      profile_(options.profile),
-      budget_(options.budget),
-      index_(ResolveIndexChoice(doc, options)),
-      ablate_outermost_sets_(options.ablate_outermost_sets),
-      node_limit_(options.result.node_limit()),
-      parallel_(exec::MakePolicy(options.parallel, options.result.mode)),
+      sc_(sc),
+      doc_(sc.doc),
+      ablate_outermost_sets_(ablate_outermost_sets),
       scalar_tables_(tree.size()),
       rel_tables_(tree.size()) {}
 
 NodeSet MinContextEngine::StepImage(AstId step_id, const NodeSet& x,
                                     uint64_t limit) {
-  const AstNode& step = tree_.node(step_id);
-  return StepKernel(doc_, step, index_, stats_, profile_, step_id,
-                    &parallel_)
-      .Eval(x, limit);
-}
-
-Status MinContextEngine::ChargeBudget(uint64_t n) {
-  used_ += n;
-  if (stats_ != nullptr) stats_->contexts_evaluated += n;
-  if (budget_ > 0 && used_ > budget_) {
-    return Status::ResourceExhausted("evaluation budget exceeded");
-  }
-  return Status::OK();
-}
-
-Status MinContextEngine::ChargeUnits(uint64_t n) {
-  if (budget_ > 0 && used_ + n > budget_) n = budget_ + 1 - used_;
-  return ChargeBudget(n);
+  EvalWorkspace::ScratchIds image = ws_.AcquireIds();
+  StepKernel(sc_, tree_.node(step_id), step_id)
+      .EvalInto(x.ids(), image.get(), limit);
+  return NodeSet::FromSorted(*image);
 }
 
 void MinContextEngine::StoreScalarRow(AstId id, NodeId cn, Value v) {
@@ -63,12 +42,12 @@ void MinContextEngine::StoreScalarRow(AstId id, NodeId cn, Value v) {
   }
   t.rows.push_back(std::move(v));
   row = static_cast<uint32_t>(t.rows.size());
-  if (stats_ != nullptr) stats_->AddCells(1);
+  sc_.stats().AddCells(1);
 }
 
 void MinContextEngine::StoreScalarConst(AstId id, Value v) {
   ScalarTable& t = scalar_table(id);
-  if (!t.const_computed && stats_ != nullptr) stats_->AddCells(1);
+  if (!t.const_computed) sc_.stats().AddCells(1);
   t.const_computed = true;
   t.const_value = std::move(v);
 }
@@ -76,9 +55,7 @@ void MinContextEngine::StoreScalarConst(AstId id, Value v) {
 void MinContextEngine::StoreRelRow(AstId id, NodeId origin,
                                    std::span<const NodeId> targets) {
   NodeTable& t = rel_table(id);
-  if (!t.has_row(origin) && stats_ != nullptr) {
-    stats_->AddCells(targets.size() + 1);
-  }
+  if (!t.has_row(origin)) sc_.stats().AddCells(targets.size() + 1);
   t.SetRow(origin, targets);
 }
 
@@ -109,7 +86,7 @@ StatusOr<Value> MinContextEngine::EvalSingleContext(AstId id, NodeId cn,
   }
 
   // Depends on cp/cs: evaluated per context, never tabled (§3.1).
-  XPE_RETURN_IF_ERROR(ChargeBudget());
+  XPE_RETURN_IF_ERROR(sc_.Charge());
   switch (n.kind) {
     case ExprKind::kFunctionCall: {
       if (n.fn == FunctionId::kPosition) {
@@ -177,7 +154,7 @@ Status MinContextEngine::EvalByCnodeOnly(AstId id, const NodeSet& x) {
     XPE_RETURN_IF_ERROR(EvalByCnodeOnly(child, x));
   }
   auto compute = [&](NodeId cn) -> StatusOr<Value> {
-    XPE_RETURN_IF_ERROR(ChargeBudget());
+    XPE_RETURN_IF_ERROR(sc_.Charge());
     switch (n.kind) {
       case ExprKind::kNumberLiteral:
         return Value::Number(n.number);
@@ -274,7 +251,7 @@ Status MinContextEngine::FilterByPredicatesSingle(
     const uint32_t m = static_cast<uint32_t>(candidates->size());
     if (const std::optional<PositionSelector> selector =
             AsPositionSelector(tree_, pred)) {
-      XPE_RETURN_IF_ERROR(ChargeUnits(uint64_t{m} * selector->units));
+      XPE_RETURN_IF_ERROR(sc_.Charge(uint64_t{m} * selector->units));
       if (const uint32_t k = SelectedPosition(*selector, m); k != 0) {
         const NodeId pick = (*candidates)[k - 1];
         candidates->assign(1, pick);
@@ -342,7 +319,7 @@ Status MinContextEngine::SelectRow(const StepRows& rows, NodeId origin,
                                   bound(parent, origin));
     }
     const uint32_t m = static_cast<uint32_t>(run.size());
-    XPE_RETURN_IF_ERROR(ChargeUnits(uint64_t{m} * rows.rank_by->units));
+    XPE_RETURN_IF_ERROR(sc_.Charge(uint64_t{m} * rows.rank_by->units));
     if (const uint32_t k = SelectedPosition(*rows.rank_by, m); k != 0) {
       row->push_back(following ? run[k - 1] : run[m - k]);
     }
@@ -361,7 +338,7 @@ Status MinContextEngine::SelectRow(const StepRows& rows, NodeId origin,
 Status MinContextEngine::EvalStepRelation(AstId step_id, const NodeSet& x,
                                           NodeTable* out) {
   const AstNode& step = tree_.node(step_id);
-  XPE_RETURN_IF_ERROR(ChargeBudget(x.size()));
+  XPE_RETURN_IF_ERROR(sc_.Charge(x.size()));
   out->Reset(ws_.arena(), doc_.size());
 
   if (step.axis == Axis::kId) {
@@ -478,7 +455,7 @@ Status MinContextEngine::EvalInnerNodeSet(AstId id, const NodeSet& x) {
         for (NodeId y : frontier) {
           transient_cells += step_rel.Row(y).size() + 1;
         }
-        if (stats_ != nullptr) stats_->AddCells(transient_cells);
+        sc_.stats().AddCells(transient_cells);
         NodeTable next;
         next.Reset(ws_.arena(), static_cast<uint32_t>(missing.size()));
         for (size_t i = 0; i < missing.size(); ++i) {
@@ -491,7 +468,7 @@ Status MinContextEngine::EvalInnerNodeSet(AstId id, const NodeSet& x) {
           next.SetRow(static_cast<uint32_t>(i), *merged);
         }
         rows = std::move(next);
-        if (stats_ != nullptr) stats_->ReleaseCells(transient_cells);
+        sc_.stats().ReleaseCells(transient_cells);
       }
       for (size_t i = 0; i < missing.size(); ++i) {
         StoreRelRow(id, missing[i], rows.Row(static_cast<uint32_t>(i)));
@@ -599,7 +576,7 @@ StatusOr<NodeSet> MinContextEngine::EvalOutermostLocpath(AstId id,
         const AstNode& step = tree_.node(n.children[s]);
         const bool is_last = s + 1 == k;
         // One budget unit per (step, frontier node), as in Core XPath.
-        XPE_RETURN_IF_ERROR(ChargeBudget(current.size()));
+        XPE_RETURN_IF_ERROR(sc_.Charge(current.size()));
         if (step.axis == Axis::kId) {
           NodeBitmap targets(doc_.size());
           for (NodeId origin : current) {
@@ -707,7 +684,7 @@ StatusOr<Value> MinContextEngine::Run(const EvalContext& ctx, bool optimized) {
     }
     XPE_ASSIGN_OR_RETURN(
         NodeSet result,
-        EvalOutermostLocpath(root, NodeSet::Single(ctx.node), node_limit_));
+        EvalOutermostLocpath(root, NodeSet::Single(ctx.node), sc_.node_limit));
     return Value::Nodes(std::move(result));
   }
   XPE_RETURN_IF_ERROR(EvalByCnodeOnly(root, NodeSet::Single(ctx.node)));
@@ -716,10 +693,9 @@ StatusOr<Value> MinContextEngine::Run(const EvalContext& ctx, bool optimized) {
 
 StatusOr<Value> EvalMinContext(EvalWorkspace& ws,
                                const xpath::CompiledQuery& query,
-                               const xml::Document& doc,
-                               const EvalContext& ctx,
-                               const EvalOptions& options, bool optimized) {
-  MinContextEngine engine(ws, query.tree(), doc, options);
+                               const EvalContext& ctx, StepContext& sc,
+                               bool optimized, bool ablate_outermost_sets) {
+  MinContextEngine engine(ws, query.tree(), sc, ablate_outermost_sets);
   return engine.Run(ctx, optimized);
 }
 

@@ -10,7 +10,6 @@
 #include "src/core/evaluator.h"
 #include "src/core/functions.h"
 #include "src/core/step_common.h"
-#include "src/exec/parallel_step.h"
 
 namespace xpe::internal {
 
@@ -42,10 +41,10 @@ struct PositionSelector {
 ///    total, one contiguous buffer per expression).
 class MinContextEngine {
  public:
-  /// Reads stats/budget/use_index/ablate_outermost_sets from `options`;
-  /// tables and scratch live in `ws`.
+  /// Charges and counts through `sc`; tables and scratch live in `ws`.
+  /// `ablate_outermost_sets` is EvalOptions::ablate_outermost_sets.
   MinContextEngine(EvalWorkspace& ws, const xpath::QueryTree& tree,
-                   const xml::Document& doc, const EvalOptions& options);
+                   StepContext& sc, bool ablate_outermost_sets);
 
   /// Algorithm 6 (optimized=false) / Algorithm 8 (optimized=true).
   StatusOr<Value> Run(const EvalContext& ctx, bool optimized);
@@ -94,17 +93,6 @@ class MinContextEngine {
     return tree_.node(id).type == xpath::ValueType::kNodeSet;
   }
 
-  /// Charges `n` units against EvalOptions::budget (single-context
-  /// evaluations charge 1; the set-valued path passes — outermost
-  /// forward steps, inner step relations, and the §4/§5 backward
-  /// propagation — charge one unit per (step, frontier node) pair, the
-  /// same unit the linear Core XPath engine uses, so every engine's
-  /// budget means the same thing).
-  Status ChargeBudget(uint64_t n = 1);
-  /// Charges `n` units as n calls of ChargeBudget() would: a budget
-  /// running out among them stops at the first unit past it.
-  Status ChargeUnits(uint64_t n);
-
   // --- §6 procedures ------------------------------------------------------
   /// eval_outermost_locpath: set-valued evaluation of outermost paths.
   /// `limit` is the document-order prefix bound of the early-terminating
@@ -138,7 +126,7 @@ class MinContextEngine {
                           NodeTable* out);
 
   /// χ(X) ∩ T(t) for the step node `step_id`: the document index's
-  /// postings when the step is index-eligible and index_.use_index is on,
+  /// postings when the step is index-eligible and sc_.use_index is on,
   /// O(|D|) scan otherwise. `limit` bounds the image to its
   /// document-order-first nodes (kNoNodeLimit = full image). Addressed
   /// by AstId so profiling rows attribute to the plan's step nodes.
@@ -199,19 +187,11 @@ class MinContextEngine {
 
   EvalWorkspace& ws_;
   const xpath::QueryTree& tree_;
+  /// The budget meter, stats/profile sinks, index and parallelism
+  /// configuration, and the node limit applied to the outermost path.
+  StepContext& sc_;
   const xml::Document& doc_;
-  EvalStats* stats_;
-  obs::QueryProfile* profile_;
-  uint64_t budget_;
-  IndexChoice index_;
   bool ablate_outermost_sets_;
-  /// ResultSpec::node_limit() of the call, applied to the outermost path.
-  uint64_t node_limit_;
-  /// EvalOptions::parallel resolved once; shared by every step kernel
-  /// (StepImage, the step relations, the backward-propagation
-  /// restrictions in wadler.cc).
-  exec::ParallelPolicy parallel_;
-  uint64_t used_ = 0;
 
   std::vector<ScalarTable> scalar_tables_;
   std::vector<NodeTable> rel_tables_;

@@ -19,7 +19,10 @@ struct EvalStats {
   /// High-water mark of cells_live: the paper's space usage.
   uint64_t cells_peak = 0;
   /// Single-(sub)expression/context evaluations performed — the unit the
-  /// paper's time bounds count.
+  /// paper's time bounds count, and the unit of EvalOptions::budget.
+  /// Every engine but the naive one charges it through one meter
+  /// (StepContext::Charge, step_common.h), so an evaluation that trips
+  /// its budget reads budget + 1 here; the naive engine stops at budget.
   uint64_t contexts_evaluated = 0;
   /// χ(X)/χ⁻¹(X) computations.
   uint64_t axis_evals = 0;
@@ -27,8 +30,11 @@ struct EvalStats {
   /// of an O(|D|) axis scan (EvalOptions::use_index).
   uint64_t indexed_steps = 0;
   /// Nodes touched by location-step evaluation: frontier nodes consumed
-  /// plus candidate nodes examined/produced per step (StepKernel and the
-  /// node-test restriction passes count here). This is the counter the
+  /// plus candidate nodes examined/produced per step. Charged only by
+  /// StepContext::RecordStep (step_common.h) — for StepKernel, the
+  /// node-test restriction passes and the dispatcher's two shortcuts —
+  /// which writes the same figure into the step's profiler row, so an
+  /// evaluation's rows sum to this counter. This is the counter the
   /// early-terminating result modes are verified against: an Exists() /
   /// First() that genuinely short-circuits visits O(1) nodes where the
   /// full materialization visits O(|D|) — wall-clock can lie on a noisy

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/core/engine.h"
-#include "src/exec/parallel_step.h"
 #include "src/index/step_index.h"
 
 namespace xpe {
@@ -74,147 +72,121 @@ NodeSet StepCandidates(const Document& doc, Axis axis, const NodeTest& test,
                        EvalAxis(doc, axis, NodeSet::Single(origin)));
 }
 
-namespace {
+StepContext::StepContext(const Document& doc, const EvalOptions& options)
+    : doc(doc),
+      use_index(options.use_index),
+      tier(options.index_tier.value_or(doc.index_tier())),
+      parallel(exec::MakePolicy(options.parallel, options.result.mode)),
+      node_limit(options.result.node_limit()),
+      profile(options.profile),
+      stats_(options.stats != nullptr ? options.stats : &own_stats_),
+      budget_(options.budget) {}
 
-/// True when the step may try the chunked kernels of parallel_step.h.
-bool ParallelActive(const exec::ParallelPolicy* parallel) {
-  return parallel != nullptr && parallel->active();
+Status StepContext::Charge(uint64_t n) {
+  if (budget_ > 0 && used_ + n > budget_) n = budget_ + 1 - used_;
+  used_ += n;
+  stats_->contexts_evaluated += n;
+  if (budget_ > 0 && used_ > budget_) {
+    return Status::ResourceExhausted("evaluation budget exceeded");
+  }
+  return Status::OK();
 }
 
-}  // namespace
-
-IndexChoice ResolveIndexChoice(const Document& doc,
-                               const EvalOptions& options) {
-  return IndexChoice{options.use_index,
-                     options.index_tier.value_or(doc.index_tier())};
+void StepContext::RecordStep(xpath::AstId step_id, uint64_t t0,
+                             uint64_t frontier, uint64_t produced,
+                             uint64_t visited, bool indexed,
+                             uint32_t workers) const {
+  stats_->nodes_visited += visited;
+  if (indexed) ++stats_->indexed_steps;
+  if (profile != nullptr) {
+    profile->RecordStep(step_id, obs::MonotonicNanos() - t0, frontier,
+                        produced, visited, indexed, std::max(workers, 1u));
+  }
 }
 
-StepKernel::StepKernel(const Document& doc, const xpath::AstNode& step,
-                       const IndexChoice& index, EvalStats* stats,
-                       obs::QueryProfile* profile, xpath::AstId step_id,
-                       const exec::ParallelPolicy* parallel)
-    : doc_(doc),
-      step_(step),
-      stats_(stats),
-      profile_(profile),
-      step_id_(step_id),
-      parallel_(parallel) {
-  if (index.use_index && step.index_eligible) {
-    postings_ = index::StepPostings(doc, doc.index_view(index.tier),
+StepKernel::StepKernel(const StepContext& sc, const xpath::AstNode& step,
+                       xpath::AstId step_id)
+    : sc_(sc), step_(step), step_id_(step_id) {
+  if (sc.use_index && step.index_eligible) {
+    postings_ = index::StepPostings(sc.doc, sc.doc.index_view(sc.tier),
                                     step.axis, step.test);
     has_postings_ = true;
   }
 }
 
-NodeSet RestrictByNodeTest(const Document& doc, Axis axis,
-                           const NodeTest& test, const NodeSet& nodes,
-                           const IndexChoice& index, EvalStats* stats,
-                           obs::QueryProfile* profile, xpath::AstId step_id,
-                           const exec::ParallelPolicy* parallel) {
-  std::vector<NodeId> out;
-  RestrictByNodeTestInto(doc, axis, test, nodes.ids(), index, stats, &out,
-                         profile, step_id, parallel);
-  return NodeSet::FromSorted(out);
-}
-
-void RestrictByNodeTestInto(const Document& doc, Axis axis,
-                            const NodeTest& test,
-                            std::span<const NodeId> nodes,
-                            const IndexChoice& index, EvalStats* stats,
-                            std::vector<NodeId>* out,
-                            obs::QueryProfile* profile, xpath::AstId step_id,
-                            const exec::ParallelPolicy* parallel) {
-  const uint64_t t0 = profile != nullptr ? obs::MonotonicNanos() : 0;
-  bool indexed = false;
+void RestrictByNodeTestInto(const StepContext& sc, const xpath::AstNode& step,
+                            xpath::AstId step_id, std::span<const NodeId> nodes,
+                            std::vector<NodeId>* out) {
+  const uint64_t t0 = sc.StepStart();
+  const Document& doc = sc.doc;
+  const bool indexed = sc.use_index && index::NodeTestIndexable(step.test);
   uint32_t workers = 0;
-  if (index.use_index && index::NodeTestIndexable(test)) {
-    if (stats != nullptr) ++stats->indexed_steps;
-    indexed = true;
-    const index::IndexView view = doc.index_view(index.tier);
-    if (ParallelActive(parallel)) {
-      workers =
-          exec::ParallelRestrict(*parallel, doc, &view, axis, test, nodes,
-                                 out);
+  if (indexed) {
+    const index::IndexView view = doc.index_view(sc.tier);
+    if (sc.parallel.active()) {
+      workers = exec::ParallelRestrict(sc.parallel, doc, &view, step.axis,
+                                       step.test, nodes, out);
     }
     if (workers == 0) {
-      index::IndexedApplyNodeTestInto(doc, view, axis, test, nodes, out);
+      index::IndexedApplyNodeTestInto(doc, view, step.axis, step.test, nodes,
+                                      out);
     }
-  } else if (test.kind == NodeTest::Kind::kNode) {
+  } else if (step.test.kind == NodeTest::Kind::kNode) {
     out->assign(nodes.begin(), nodes.end());
   } else {
-    if (ParallelActive(parallel)) {
-      workers = exec::ParallelRestrict(*parallel, doc, /*index=*/nullptr,
-                                       axis, test, nodes, out);
+    if (sc.parallel.active()) {
+      workers = exec::ParallelRestrict(sc.parallel, doc, /*index=*/nullptr,
+                                       step.axis, step.test, nodes, out);
     }
-    if (workers == 0) ApplyNodeTestInto(doc, axis, test, nodes, out);
+    if (workers == 0) ApplyNodeTestInto(doc, step.axis, step.test, nodes, out);
   }
   // Input+output in every branch (and in StepKernel), so index-on/off
   // and parallel-on/off comparisons of nodes_visited measure one
   // quantity.
-  const uint64_t visited = nodes.size() + out->size();
-  if (stats != nullptr) stats->nodes_visited += visited;
-  if (profile != nullptr) {
-    profile->RecordStep(step_id, obs::MonotonicNanos() - t0, nodes.size(),
-                        out->size(), visited, indexed,
-                        workers == 0 ? 1 : workers);
-  }
-}
-
-NodeSet StepKernel::Eval(const NodeSet& x, uint64_t limit) const {
-  std::vector<NodeId> out;
-  EvalInto(x.ids(), &out, limit);
-  return NodeSet::FromSorted(out);
+  sc.RecordStep(step_id, t0, nodes.size(), out->size(),
+                nodes.size() + out->size(), indexed, workers);
 }
 
 void StepKernel::EvalInto(std::span<const NodeId> x, std::vector<NodeId>* out,
                           uint64_t limit) const {
-  const uint64_t t0 = profile_ != nullptr ? obs::MonotonicNanos() : 0;
-  if (has_postings_ &&
-      index::IndexedStepWorthwhile(doc_, postings_, step_.axis, x)) {
-    if (stats_ != nullptr) ++stats_->indexed_steps;
-    uint32_t workers = 0;
-    if (ParallelActive(parallel_)) {
-      workers = exec::ParallelIndexedStep(*parallel_, doc_, postings_,
+  const uint64_t t0 = sc_.StepStart();
+  const Document& doc = sc_.doc;
+  const bool indexed =
+      has_postings_ &&
+      index::IndexedStepWorthwhile(doc, postings_, step_.axis, x);
+  uint32_t workers = 0;
+  // The nodes examined past the frontier: the output on the indexed
+  // path, the full pre-node-test axis image on the scan path (the
+  // parallel scan reconstructs the count the sequential path
+  // materializes, so nodes_visited is parallel-invariant).
+  uint64_t examined = 0;
+  if (indexed) {
+    if (sc_.parallel.active()) {
+      workers = exec::ParallelIndexedStep(sc_.parallel, doc, postings_,
                                           step_.axis, step_.test, x, out,
                                           limit);
     }
     if (workers == 0) {
-      index::IndexedStepOverPostingsInto(doc_, postings_, step_.axis,
+      index::IndexedStepOverPostingsInto(doc, postings_, step_.axis,
                                          step_.test, x, out, limit);
     }
-    const uint64_t visited = x.size() + out->size();
-    if (stats_ != nullptr) stats_->nodes_visited += visited;
-    if (profile_ != nullptr) {
-      profile_->RecordStep(step_id_, obs::MonotonicNanos() - t0, x.size(),
-                           out->size(), visited, /*indexed=*/true,
-                           workers == 0 ? 1 : workers);
+    examined = out->size();
+  } else {
+    ++sc_.stats().axis_evals;
+    if (sc_.parallel.active()) {
+      workers = exec::ParallelDescendantScan(sc_.parallel, doc, step_.axis,
+                                             step_.test, x, out, limit,
+                                             &examined);
     }
-    return;
+    if (workers == 0) {
+      const NodeSet image = EvalAxis(doc, step_.axis, NodeSet::FromSorted(x));
+      examined = image.size();
+      ApplyNodeTestInto(doc, step_.axis, step_.test, image.ids(), out);
+      if (limit != kNoNodeLimit && out->size() > limit) out->resize(limit);
+    }
   }
-  if (stats_ != nullptr) ++stats_->axis_evals;
-  uint32_t workers = 0;
-  uint64_t image_size = 0;
-  if (ParallelActive(parallel_)) {
-    workers = exec::ParallelDescendantScan(*parallel_, doc_, step_.axis,
-                                           step_.test, x, out, limit,
-                                           &image_size);
-  }
-  if (workers == 0) {
-    const NodeSet image = EvalAxis(doc_, step_.axis, NodeSet::FromSorted(x));
-    image_size = image.size();
-    ApplyNodeTestInto(doc_, step_.axis, step_.test, image.ids(), out);
-    if (limit != kNoNodeLimit && out->size() > limit) out->resize(limit);
-  }
-  // image_size is the full pre-node-test axis image either way: the
-  // parallel scan reconstructs the count the sequential path
-  // materializes, so nodes_visited is parallel-invariant.
-  const uint64_t visited = x.size() + image_size;
-  if (stats_ != nullptr) stats_->nodes_visited += visited;
-  if (profile_ != nullptr) {
-    profile_->RecordStep(step_id_, obs::MonotonicNanos() - t0, x.size(),
-                         out->size(), visited, /*indexed=*/false,
-                         workers == 0 ? 1 : workers);
-  }
+  sc_.RecordStep(step_id_, t0, x.size(), out->size(), x.size() + examined,
+                 indexed, workers);
 }
 
 }  // namespace xpe

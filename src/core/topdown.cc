@@ -8,7 +8,6 @@
 #include "src/core/engine_internal.h"
 #include "src/core/functions.h"
 #include "src/core/step_common.h"
-#include "src/exec/parallel_step.h"
 
 namespace xpe::internal {
 
@@ -31,21 +30,13 @@ struct Ctx {
 
 class TopDownEvaluator {
  public:
-  TopDownEvaluator(EvalWorkspace& ws, const QueryTree& tree,
-                   const Document& doc, const EvalOptions& options)
-      : ws_(ws),
-        tree_(tree),
-        doc_(doc),
-        stats_(options.stats),
-        profile_(options.profile),
-        budget_(options.budget),
-        index_(ResolveIndexChoice(doc, options)),
-        parallel_(exec::MakePolicy(options.parallel, options.result.mode)) {}
+  TopDownEvaluator(EvalWorkspace& ws, const QueryTree& tree, StepContext& sc)
+      : ws_(ws), tree_(tree), sc_(sc), doc_(sc.doc) {}
 
   /// E↓[[e]](c1,...,cl): one result per context.
   StatusOr<std::vector<Value>> EvalList(AstId id,
                                         const std::vector<Ctx>& ctxs) {
-    XPE_RETURN_IF_ERROR(Charge(ctxs.size()));
+    XPE_RETURN_IF_ERROR(sc_.Charge(ctxs.size()));
     const AstNode& n = tree_.node(id);
     switch (n.kind) {
       case ExprKind::kNumberLiteral:
@@ -214,7 +205,7 @@ class TopDownEvaluator {
               flat.emplace_back(i, y);
             }
           }
-          if (stats_ != nullptr) stats_->AddCells(ctxs.size());
+          sc_.stats().AddCells(ctxs.size());
           XPE_ASSIGN_OR_RETURN(std::vector<Value> keep,
                                EvalList(n.children[p], ctxs));
           std::vector<NodeSet> filtered(heads.size());
@@ -247,15 +238,6 @@ class TopDownEvaluator {
   }
 
  private:
-  Status Charge(uint64_t n) {
-    used_ += n;
-    if (stats_ != nullptr) stats_->contexts_evaluated += n;
-    if (budget_ > 0 && used_ > budget_) {
-      return Status::ResourceExhausted("evaluation budget exceeded");
-    }
-    return Status::OK();
-  }
-
   static std::vector<Value> Replicate(Value v, size_t count) {
     return std::vector<Value>(count, std::move(v));
   }
@@ -277,20 +259,19 @@ class TopDownEvaluator {
     s_rel.Reset(ws_.arena(), doc_.size());
     // One kernel for the whole per-origin loop: the postings lookup
     // happens once per step, not once per origin.
-    const StepKernel kernel(doc_, step, index_, stats_, profile_, step_id,
-                            &parallel_);
+    const StepKernel kernel(sc_, step, step_id);
     {
       EvalWorkspace::ScratchIds targets = ws_.AcquireIds();
       for (NodeId x : *x_all) {
         if (step.axis == Axis::kId) {
-          if (stats_ != nullptr) ++stats_->axis_evals;
+          ++sc_.stats().axis_evals;
           const std::vector<NodeId>& fwd = doc_.IdAxisForward(x);
           targets->assign(fwd.begin(), fwd.end());
           SortUnique(targets.get());
         } else {
           kernel.EvalInto({&x, 1}, targets.get());
         }
-        if (stats_ != nullptr) stats_->AddCells(targets->size());
+        sc_.stats().AddCells(targets->size());
         s_rel.SetRow(x, *targets);
       }
     }
@@ -340,24 +321,16 @@ class TopDownEvaluator {
 
   EvalWorkspace& ws_;
   const QueryTree& tree_;
+  StepContext& sc_;
   const Document& doc_;
-  EvalStats* stats_;
-  obs::QueryProfile* profile_;
-  uint64_t budget_;
-  IndexChoice index_;
-  /// Per-origin frontiers are single nodes, but descendant steps still
-  /// partition their subtree-interval domain (exec/parallel_step.h).
-  exec::ParallelPolicy parallel_;
-  uint64_t used_ = 0;
 };
 
 }  // namespace
 
 StatusOr<Value> EvalTopDown(EvalWorkspace& ws,
                             const xpath::CompiledQuery& query,
-                            const xml::Document& doc, const EvalContext& ctx,
-                            const EvalOptions& options) {
-  TopDownEvaluator evaluator(ws, query.tree(), doc, options);
+                            const EvalContext& ctx, StepContext& sc) {
+  TopDownEvaluator evaluator(ws, query.tree(), sc);
   const xpath::AstNode& root = query.tree().node(query.root());
   if (root.type == xpath::ValueType::kNodeSet) {
     XPE_ASSIGN_OR_RETURN(

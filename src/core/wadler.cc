@@ -61,21 +61,22 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
     // charge. Without this, a fully bottom-up query (boolean(π) with a
     // predicate-free Wadler path) performed all its work in this loop
     // and EvalOptions::budget was silently ignored.
-    XPE_RETURN_IF_ERROR(ChargeBudget(current.size()));
+    XPE_RETURN_IF_ERROR(sc_.Charge(current.size()));
 
     if (step.axis == Axis::kId) {
-      if (stats_ != nullptr) ++stats_->axis_evals;
+      ++sc_.stats().axis_evals;
       current = EvalAxisInverse(doc_, Axis::kId, current);
       continue;
     }
 
     // Y' := members of the propagated set passing this step's node test
     // (a postings intersection when the index is on).
-    NodeSet tested =
-        RestrictByNodeTest(doc_, step.axis, step.test, current, index_,
-                           stats_, profile_, path.children[s], &parallel_);
+    std::vector<NodeId> tested_ids;
+    RestrictByNodeTestInto(sc_, step, path.children[s], current.ids(),
+                           &tested_ids);
+    NodeSet tested(std::move(tested_ids));
     if (step.children.empty()) {
-      if (stats_ != nullptr) ++stats_->axis_evals;
+      ++sc_.stats().axis_evals;
       current = EvalAxisInverse(doc_, step.axis, tested);
       continue;
     }
@@ -98,7 +99,7 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
         }
         survivors = std::move(kept);
       }
-      if (stats_ != nullptr) ++stats_->axis_evals;
+      ++sc_.stats().axis_evals;
       current = EvalAxisInverse(doc_, step.axis, survivors);
       continue;
     }
@@ -107,7 +108,7 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
     // evaluate positions over each origin's *full* candidate list (see
     // DESIGN.md on the §6 position-semantics erratum), then keep origins
     // whose surviving candidates intersect the propagated set.
-    if (stats_ != nullptr) ++stats_->axis_evals;
+    ++sc_.stats().axis_evals;
     NodeSet origins = EvalAxisInverse(doc_, step.axis, tested);
     NodeSet universe = StepImage(path.children[s], origins);
     for (AstId pred : step.children) {
@@ -157,9 +158,9 @@ void MinContextEngine::SeedCandidates(AstId path_id,
     std::iota(out->begin(), out->end(), NodeId{0});
     return;
   }
-  if (index_.use_index && index::NodeTestIndexable(last->test)) {
+  if (sc_.use_index && index::NodeTestIndexable(last->test)) {
     const index::PostingsView postings = index::StepPostings(
-        doc_, doc_.index_view(index_.tier), last->axis, last->test);
+        doc_, doc_.index_view(sc_.tier), last->axis, last->test);
     out->resize(postings.size());
     postings.Decode(0, postings.size(), out->data());
     return;
@@ -216,7 +217,7 @@ Status MinContextEngine::EvalBottomUpPath(AstId id) {
     } else {
       // One budget unit per document node, however few candidates the
       // node test leaves.
-      XPE_RETURN_IF_ERROR(ChargeUnits(dom_size));
+      XPE_RETURN_IF_ERROR(sc_.Charge(dom_size));
       // Each node is tested as the left operand: s RelOp π is π RelOp' s
       // with the mirrored operator.
       const NodeScalarTest test(path_on_left ? op : MirrorOp(op), s_val);
@@ -246,7 +247,7 @@ Status MinContextEngine::EvalBottomUpPath(AstId id) {
   const uint8_t if_reached = value_of(true) ? 1 : 0;
   for (NodeId node : reachable) table.bottom_up[node] = if_reached;
   table.bottom_up_done = true;
-  if (stats_ != nullptr) stats_->AddCells(dom_size);
+  sc_.stats().AddCells(dom_size);
   return Status::OK();
 }
 

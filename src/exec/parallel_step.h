@@ -23,9 +23,10 @@ namespace xpe::exec {
 /// results, EvalStats and profiler accounting stay bit-identical to
 /// sequential evaluation by construction.
 
-/// A resolved, per-evaluation view of ParallelOptions: engines build one
-/// in their constructor via MakePolicy and hand a pointer to every step
-/// kernel they construct. max_workers == 1 means "stay sequential".
+/// A resolved, per-evaluation view of ParallelOptions: the dispatcher's
+/// StepContext (core/step_common.h) builds one via MakePolicy, and every
+/// step kernel reads it from there. max_workers == 1 means "stay
+/// sequential".
 struct ParallelPolicy {
   /// Partition width actually in force (never 0; 1 = sequential).
   uint32_t max_workers = 1;

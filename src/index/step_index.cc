@@ -5,7 +5,6 @@
 
 #include "src/core/step_common.h"
 #include "src/succinct/ef_postings.h"
-#include "src/xpath/relevance.h"
 
 namespace xpe::index {
 
@@ -15,8 +14,6 @@ using xml::Document;
 using xml::kNoString;
 using xml::NodeId;
 using xpath::NodeTest;
-
-const std::vector<NodeId> kEmptyPostings;
 
 /// The two postings sequence shapes the kernels are instantiated over.
 /// Both expose the same five operations; the flat one compiles to the
@@ -321,18 +318,6 @@ bool NodeTestIndexable(const xpath::NodeTest& test) {
          test.kind == NodeTest::Kind::kAny;
 }
 
-const std::vector<NodeId>& StepPostings(const Document& doc,
-                                        const DocumentIndex& index, Axis axis,
-                                        const NodeTest& test) {
-  const bool attr = axis == Axis::kAttribute;
-  if (test.kind == NodeTest::Kind::kAny) {
-    return attr ? index.all_attributes() : index.all_elements();
-  }
-  const uint32_t name_id = doc.LookupNameId(test.name);
-  if (name_id == kNoString) return kEmptyPostings;
-  return attr ? index.AttributesNamed(name_id) : index.ElementsNamed(name_id);
-}
-
 PostingsView StepPostings(const Document& doc, const IndexView& index,
                           Axis axis, const NodeTest& test) {
   const bool attr = axis == Axis::kAttribute;
@@ -340,9 +325,7 @@ PostingsView StepPostings(const Document& doc, const IndexView& index,
     return attr ? index.all_attributes() : index.all_elements();
   }
   const uint32_t name_id = doc.LookupNameId(test.name);
-  if (name_id == kNoString) {
-    return PostingsView(std::span<const NodeId>(kEmptyPostings));
-  }
+  if (name_id == kNoString) return PostingsView();
   return attr ? index.AttributesNamed(name_id) : index.ElementsNamed(name_id);
 }
 
@@ -369,27 +352,6 @@ bool IndexedStepWorthwhile(const Document& doc, const PostingsView& postings,
   }
 }
 
-bool IndexedStepWorthwhile(const Document& doc,
-                           const std::vector<NodeId>& postings, Axis axis,
-                           std::span<const NodeId> x) {
-  return IndexedStepWorthwhile(
-      doc, PostingsView(std::span<const NodeId>(postings)), axis, x);
-}
-
-NodeSet IndexedStep(const Document& doc, const DocumentIndex& index,
-                    Axis axis, const NodeTest& test, const NodeSet& x) {
-  if (!xpath::StepIsIndexEligible(axis, test)) {
-    // Defensive fallback: stay correct for combinations the compile-time
-    // annotation should have filtered out.
-    return ApplyNodeTest(doc, axis, test, EvalAxis(doc, axis, x));
-  }
-  const std::vector<NodeId>& postings = StepPostings(doc, index, axis, test);
-  if (!IndexedStepWorthwhile(doc, postings, axis, x.ids())) {
-    return ApplyNodeTest(doc, axis, test, EvalAxis(doc, axis, x));
-  }
-  return IndexedStepOverPostings(doc, postings, axis, test, x);
-}
-
 void IndexedStepOverPostingsInto(const Document& doc,
                                  const PostingsView& postings, Axis axis,
                                  const NodeTest& test,
@@ -403,32 +365,6 @@ void IndexedStepOverPostingsInto(const Document& doc,
     StepOverSeqInto(doc, DenseSeq{postings.dense()}, axis, test, x, out,
                     limit);
   }
-}
-
-void IndexedStepOverPostingsInto(const Document& doc,
-                                 const std::vector<NodeId>& postings,
-                                 Axis axis, const NodeTest& test,
-                                 std::span<const NodeId> x,
-                                 std::vector<NodeId>* out, uint64_t limit) {
-  IndexedStepOverPostingsInto(doc,
-                              PostingsView(std::span<const NodeId>(postings)),
-                              axis, test, x, out, limit);
-}
-
-NodeSet IndexedStepOverPostings(const Document& doc,
-                                const PostingsView& postings, Axis axis,
-                                const NodeTest& test, const NodeSet& x) {
-  std::vector<NodeId> out;
-  IndexedStepOverPostingsInto(doc, postings, axis, test, x.ids(), &out);
-  return NodeSet::FromSorted(out);
-}
-
-NodeSet IndexedStepOverPostings(const Document& doc,
-                                const std::vector<NodeId>& postings,
-                                Axis axis, const NodeTest& test,
-                                const NodeSet& x) {
-  return IndexedStepOverPostings(
-      doc, PostingsView(std::span<const NodeId>(postings)), axis, test, x);
 }
 
 void IndexedApplyNodeTestInto(const Document& doc, const IndexView& index,
@@ -453,21 +389,6 @@ void IndexedApplyNodeTestInto(const Document& doc, const IndexView& index,
   } else {
     IntersectSortedInto(DenseSeq{postings.dense()}, nodes, out, kNoNodeLimit);
   }
-}
-
-void IndexedApplyNodeTestInto(const Document& doc, const DocumentIndex& index,
-                              Axis axis, const xpath::NodeTest& test,
-                              std::span<const NodeId> nodes,
-                              std::vector<NodeId>* out) {
-  IndexedApplyNodeTestInto(doc, IndexView(&index), axis, test, nodes, out);
-}
-
-NodeSet IndexedApplyNodeTest(const Document& doc, const DocumentIndex& index,
-                             Axis axis, const xpath::NodeTest& test,
-                             const NodeSet& nodes) {
-  std::vector<NodeId> out;
-  IndexedApplyNodeTestInto(doc, index, axis, test, nodes.ids(), &out);
-  return NodeSet::FromSorted(out);
 }
 
 }  // namespace xpe::index

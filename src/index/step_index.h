@@ -25,15 +25,15 @@ namespace xpe::index {
 ///
 /// Eligibility is a static property of the (axis, node-test) pair and is
 /// decided at compile time by xpath::StepIsIndexEligible (see
-/// relevance.h), which annotates AstNode::index_eligible; engines consult
-/// that flag plus EvalOptions::use_index before calling in here. Both
-/// functions fall back to the scan path for ineligible inputs, so calling
-/// them is always safe, just not always fast.
-
-/// χ(X) ∩ T(t) — equivalent to
-/// ApplyNodeTest(doc, axis, test, EvalAxis(doc, axis, x)).
+/// relevance.h), which annotates AstNode::index_eligible; StepKernel
+/// (core/step_common.h) consults that flag plus EvalOptions::use_index
+/// before resolving postings here, and IndexedStepWorthwhile before
+/// each call, so the kernels below only ever see eligible steps worth
+/// answering from postings.
 ///
-/// The workhorse cases (P = postings of the tested name, X = |x|):
+/// IndexedStepOverPostingsInto computes χ(X) ∩ T(t), equivalent to
+/// ApplyNodeTest(doc, axis, test, EvalAxis(doc, axis, x)). The workhorse
+/// cases (P = postings of the tested name, X = |x|):
 ///  - descendant/descendant-or-self: binary-search merge of P against the
 ///    disjoint maximal subtree intervals [x, subtree_end(x)) of X —
 ///    O(X + occ + log P);
@@ -47,48 +47,21 @@ namespace xpe::index {
 ///  - following/preceding: postings suffix / prefix via the subtree_end
 ///    threshold arguments of §2.1's document-order characterization;
 ///  - self/parent: O(X log P) and O(X log X) probes.
-///
-/// The child and ancestor kernels additionally self-gate: when the
-/// candidate-postings × log|X| estimate exceeds the O(|D|) scan (dense
-/// postings over a broad frontier, e.g. `child::*` from a near-universe
-/// set), they fall back to the scan so the indexed path is never
-/// asymptotically worse.
-NodeSet IndexedStep(const xml::Document& doc, const DocumentIndex& index,
-                    Axis axis, const xpath::NodeTest& test, const NodeSet& x);
 
-/// The postings list IndexedStep consults for `axis::test`: the name's
-/// element or attribute postings (attribute axis → attributes), the
+/// The postings list a step `axis::test` consults: the name's element or
+/// attribute postings (attribute axis → attributes), the
 /// all-elements/all-attributes list for `*`, the empty list for names
 /// absent from the document. Per-origin loops resolve this once per step
-/// and call IndexedStepOverPostings, avoiding one name lookup per origin.
+/// and call IndexedStepOverPostingsInto, avoiding one name lookup per
+/// origin.
 PostingsView StepPostings(const xml::Document& doc, const IndexView& index,
                           Axis axis, const xpath::NodeTest& test);
 
-/// Flat-tier convenience: the same resolution as a direct reference into
-/// the DocumentIndex vectors (the pre-tier signature; tests and
-/// single-tier callers keep using it).
-const std::vector<xml::NodeId>& StepPostings(const xml::Document& doc,
-                                             const DocumentIndex& index,
-                                             Axis axis,
-                                             const xpath::NodeTest& test);
-
-/// IndexedStep with the postings already resolved. `postings` must be
-/// StepPostings(doc, index, axis, test) and (axis, test) must be
-/// index-eligible (xpath::StepIsIndexEligible). Always takes the indexed
-/// path; consult IndexedStepWorthwhile first so dense-postings shapes go
-/// to the scan instead.
-NodeSet IndexedStepOverPostings(const xml::Document& doc,
-                                const PostingsView& postings, Axis axis,
-                                const xpath::NodeTest& test, const NodeSet& x);
-NodeSet IndexedStepOverPostings(const xml::Document& doc,
-                                const std::vector<xml::NodeId>& postings,
-                                Axis axis, const xpath::NodeTest& test,
-                                const NodeSet& x);
-
-/// IndexedStepOverPostings writing into a caller-owned buffer (cleared
-/// first; typically EvalWorkspace scratch) — the allocation-free form
-/// the per-origin engine loops use. `x` is any sorted duplicate-free id
-/// sequence (NodeSet::ids(), a NodeTable row, a single-origin span).
+/// χ(X) ∩ T(t) over postings already resolved by StepPostings, into a
+/// caller-owned buffer (cleared first; typically EvalWorkspace scratch).
+/// (axis, test) must be index-eligible (xpath::StepIsIndexEligible). `x`
+/// is any sorted duplicate-free id sequence (NodeSet::ids(), a NodeTable
+/// row, a single-origin span).
 ///
 /// `limit` bounds the output to its first `limit` nodes. Every kernel
 /// emits in ascending document order, so stopping after the limit-th
@@ -103,26 +76,17 @@ void IndexedStepOverPostingsInto(const xml::Document& doc,
                                  std::span<const xml::NodeId> x,
                                  std::vector<xml::NodeId>* out,
                                  uint64_t limit = kNoNodeLimit);
-void IndexedStepOverPostingsInto(const xml::Document& doc,
-                                 const std::vector<xml::NodeId>& postings,
-                                 Axis axis, const xpath::NodeTest& test,
-                                 std::span<const xml::NodeId> x,
-                                 std::vector<xml::NodeId>* out,
-                                 uint64_t limit = kNoNodeLimit);
 
-/// The cost gate behind the "self-gate" above, exposed so callers that
-/// do their own dispatch (StepKernel) can account indexed vs. scan steps
-/// truthfully: false when the candidate-postings × log|X| estimate for
-/// `axis` exceeds the O(|D|) scan (child/ancestor over dense postings
-/// and broad frontiers); true for every other axis. The verdict is
+/// The cost gate StepKernel consults before each indexed call: false
+/// when the candidate-postings × log|X| estimate for `axis` exceeds the
+/// O(|D|) scan (child/ancestor over dense postings and broad frontiers,
+/// e.g. `child::*` from a near-universe set), so the indexed path is
+/// never asymptotically worse; true for every other axis. The verdict is
 /// driven by sizes only, so it is identical across tiers — the stats
 /// parity the differential suite asserts depends on this.
 bool IndexedStepWorthwhile(const xml::Document& doc,
                            const PostingsView& postings, Axis axis,
                            std::span<const xml::NodeId> x);
-bool IndexedStepWorthwhile(const xml::Document& doc,
-                           const std::vector<xml::NodeId>& postings,
-                           Axis axis, std::span<const xml::NodeId> x);
 
 /// True iff the node test alone (any axis) can be answered from postings:
 /// name tests and `*`. Kind tests (text(), comment(), ...) and node() are
@@ -135,19 +99,8 @@ bool NodeTestIndexable(const xpath::NodeTest& test);
 /// string comparison scan. Used by the backward-propagation passes, where
 /// `nodes` is often the universe and the intersection is just the
 /// postings list itself.
-NodeSet IndexedApplyNodeTest(const xml::Document& doc,
-                             const DocumentIndex& index, Axis axis,
-                             const xpath::NodeTest& test,
-                             const NodeSet& nodes);
-
-/// IndexedApplyNodeTest into a caller-owned buffer (cleared first).
 void IndexedApplyNodeTestInto(const xml::Document& doc,
                               const IndexView& index, Axis axis,
-                              const xpath::NodeTest& test,
-                              std::span<const xml::NodeId> nodes,
-                              std::vector<xml::NodeId>* out);
-void IndexedApplyNodeTestInto(const xml::Document& doc,
-                              const DocumentIndex& index, Axis axis,
                               const xpath::NodeTest& test,
                               std::span<const xml::NodeId> nodes,
                               std::vector<xml::NodeId>* out);

@@ -66,9 +66,9 @@ class QueryProfile {
   const std::vector<Step>& steps() const { return steps_; }
 
   /// Sum of the rows' nodes_visited — equals the evaluation's
-  /// EvalStats::nodes_visited when every visited node was counted by an
-  /// instrumented kernel (true for pure location-path plans; pinned by
-  /// tests/obs_test.cc).
+  /// EvalStats::nodes_visited, since StepContext::RecordStep
+  /// (core/step_common.h) writes both (pinned across the differential
+  /// corpus by tests/differential_test.cc).
   uint64_t nodes_visited_total() const;
   uint64_t step_wall_ns_total() const;
 

@@ -388,58 +388,44 @@ TEST(AnalyzeDifferentialTest, ResultsIdenticalWithAndWithoutAnalysis) {
   // Small enough (71 nodes) for the cubic-table E-up engine's document
   // size guard, so every engine in the matrix genuinely evaluates.
   const xml::Document doc = xml::MakeAuctionDocument(5);
-  const std::vector<ResultMode> modes = {
-      ResultMode::kFull, ResultMode::kFirst, ResultMode::kExists,
-      ResultMode::kCount, ResultMode::kLimit};
   for (const DiffCase& c : kDiffCases) {
     const xpath::CompiledQuery q = MustCompile(c.query);
+    // Core XPath runs on every query too: a prune must not mask its
+    // rejection of a query outside its fragment.
     for (EngineKind engine : AllEngines()) {
-      for (bool use_index : {false, true}) {
-        for (index::IndexTier tier :
-             {index::IndexTier::kHot, index::IndexTier::kDense}) {
-          if (!use_index && tier == index::IndexTier::kDense) continue;
-          for (ResultMode mode : modes) {
-            EvalOptions on;
-            on.engine = engine;
-            on.use_index = use_index;
-            on.index_tier = tier;
-            on.result.mode = mode;
-            on.result.limit = mode == ResultMode::kLimit ? 3 : 0;
-            EvalOptions off = on;
-            off.analyze = false;
-            EvalStats stats_on;
-            EvalStats stats_off;
-            on.stats = &stats_on;
-            off.stats = &stats_off;
-            const StatusOr<Value> v_on = Evaluate(q, doc, {}, on);
-            const StatusOr<Value> v_off = Evaluate(q, doc, {}, off);
-            const std::string where =
-                std::string(c.query) +
-                " engine=" + EngineKindToString(engine) +
-                " index=" + (use_index ? "on" : "off") +
-                " tier=" + (tier == index::IndexTier::kHot ? "hot" : "dense") +
-                " mode=" + ResultModeToString(mode);
-            ASSERT_EQ(v_on.ok(), v_off.ok()) << where;
-            if (!v_on.ok()) continue;  // e.g. Core XPath rejecting a query
-            EXPECT_TRUE(v_on->StructurallyEquals(*v_off))
-                << where << "\n  on:  " << v_on->Repr()
-                << "\n  off: " << v_off->Repr();
-            if (c.provably_empty && engine != EngineKind::kNaive) {
-              EXPECT_EQ(stats_on.pruned_by_summary, 1u) << where;
-              // O(|Q|) work instead of a document scan.
-              EXPECT_LE(stats_on.nodes_visited, 16u) << where;
-            } else {
-              // No prune fired: the two runs are bit-identical, stats
-              // included.
-              EXPECT_EQ(stats_on.pruned_by_summary, 0u) << where;
-              EXPECT_EQ(stats_on.nodes_visited, stats_off.nodes_visited)
-                  << where;
-              EXPECT_EQ(stats_on.contexts_evaluated,
-                        stats_off.contexts_evaluated)
-                  << where;
-              EXPECT_EQ(stats_on.indexed_steps, stats_off.indexed_steps)
-                  << where;
-            }
+      for (const test::IndexConfig& index : test::kIndexConfigs) {
+        for (const test::ModeConfig& mode : test::kModeConfigs) {
+          const test::Cell cell = test::MakeCell(c.query, engine, index, mode);
+          const std::string& where = cell.label;
+          EvalOptions on = cell.options;
+          EvalOptions off = on;
+          off.analyze = false;
+          EvalStats stats_on;
+          EvalStats stats_off;
+          on.stats = &stats_on;
+          off.stats = &stats_off;
+          const StatusOr<Value> v_on = Evaluate(q, doc, {}, on);
+          const StatusOr<Value> v_off = Evaluate(q, doc, {}, off);
+          ASSERT_EQ(v_on.ok(), v_off.ok()) << where;
+          if (!v_on.ok()) continue;  // e.g. Core XPath rejecting a query
+          EXPECT_TRUE(v_on->StructurallyEquals(*v_off))
+              << where << "\n  on:  " << v_on->Repr()
+              << "\n  off: " << v_off->Repr();
+          if (c.provably_empty && engine != EngineKind::kNaive) {
+            EXPECT_EQ(stats_on.pruned_by_summary, 1u) << where;
+            // O(|Q|) work instead of a document scan.
+            EXPECT_LE(stats_on.nodes_visited, 16u) << where;
+          } else {
+            // No prune fired: the two runs are bit-identical, stats
+            // included.
+            EXPECT_EQ(stats_on.pruned_by_summary, 0u) << where;
+            EXPECT_EQ(stats_on.nodes_visited, stats_off.nodes_visited)
+                << where;
+            EXPECT_EQ(stats_on.contexts_evaluated,
+                      stats_off.contexts_evaluated)
+                << where;
+            EXPECT_EQ(stats_on.indexed_steps, stats_off.indexed_steps)
+                << where;
           }
         }
       }

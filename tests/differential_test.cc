@@ -12,6 +12,11 @@
 namespace xpe {
 namespace {
 
+using test::Cell;
+using test::EngineRuns;
+using test::IndexConfig;
+using test::kIndexConfigs;
+using test::MakeCell;
 using test::MustCompile;
 
 /// Query corpus: every axis, positions, values, ids, unions, filters,
@@ -82,33 +87,12 @@ const char* kQueryCorpus[] = {
     "//*[@id != 'n10']",
 };
 
-/// The index axis every differential loop sweeps: no index at all, the
-/// flat hot tier, and the succinct dense tier. The tiers must be
-/// mutually bit-identical — in results AND in EvalStats (same kernels,
-/// same counting) — and all three must agree with the naive engine.
-struct IndexConfig {
-  const char* label;
-  bool use_index;
-  index::IndexTier tier;  // meaningful only when use_index
-};
-constexpr IndexConfig kIndexConfigs[] = {
-    {"scan", false, index::IndexTier::kHot},
-    {"hot", true, index::IndexTier::kHot},
-    {"dense", true, index::IndexTier::kDense},
-};
-
-EvalOptions ConfigOptions(const IndexConfig& config, EngineKind engine) {
-  EvalOptions opts;
-  opts.engine = engine;
-  opts.use_index = config.use_index;
-  if (config.use_index) opts.index_tier = config.tier;
-  return opts;
-}
-
 /// Every table engine (and Core XPath on its fragment) agrees with the
 /// naive engine on `query` under all three index configs — indexed step
 /// kernels and the tier backing them must be invisible in the results —
-/// and the two indexed tiers also agree on every stats counter.
+/// the two indexed tiers also agree on every stats counter, and the
+/// profiler's step rows account for exactly the nodes_visited the stats
+/// report.
 void ExpectAgreesWithNaive(const xml::Document& doc, const char* query,
                            uint64_t seed) {
   xpath::CompiledQuery compiled = MustCompile(query);
@@ -118,27 +102,27 @@ void ExpectAgreesWithNaive(const xml::Document& doc, const char* query,
   StatusOr<Value> expected = Evaluate(compiled, doc, EvalContext{}, naive_opts);
   ASSERT_TRUE(expected.ok()) << query << ": " << expected.status().ToString();
 
-  std::vector<EngineKind> engines = {
-      EngineKind::kBottomUp, EngineKind::kTopDown, EngineKind::kMinContext,
-      EngineKind::kOptMinContext};
-  if (compiled.fragment() == xpath::Fragment::kCoreXPath) {
-    engines.push_back(EngineKind::kCoreXPath);
-  }
-  for (EngineKind engine : engines) {
+  for (EngineKind engine : AllEngines()) {
+    if (engine == EngineKind::kNaive || !EngineRuns(engine, compiled)) {
+      continue;
+    }
     std::string hot_stats, dense_stats;
     for (const IndexConfig& config : kIndexConfigs) {
-      EvalOptions opts = ConfigOptions(config, engine);
+      Cell cell = MakeCell(query, engine, config);
       EvalStats stats;
-      opts.stats = &stats;
-      StatusOr<Value> actual = Evaluate(compiled, doc, EvalContext{}, opts);
+      obs::QueryProfile profile;
+      cell.options.stats = &stats;
+      cell.options.profile = &profile;
+      StatusOr<Value> actual =
+          Evaluate(compiled, doc, EvalContext{}, cell.options);
       ASSERT_TRUE(actual.ok())
-          << query << " on " << EngineKindToString(engine) << ": "
-          << actual.status().ToString();
+          << cell.label << ": " << actual.status().ToString();
       EXPECT_TRUE(actual->StructurallyEquals(*expected))
-          << "query:    " << query << "\nengine:   "
-          << EngineKindToString(engine) << "\nindex:    " << config.label
-          << "\nseed:     " << seed << "\nexpected: " << expected->Repr()
+          << cell.label << " seed " << seed
+          << "\nexpected: " << expected->Repr()
           << "\nactual:   " << actual->Repr();
+      EXPECT_EQ(profile.nodes_visited_total(), stats.nodes_visited)
+          << cell.label << " seed " << seed;
       if (config.use_index) {
         (config.tier == index::IndexTier::kHot ? hot_stats : dense_stats) =
             stats.ToString();
@@ -230,14 +214,12 @@ TEST_P(RelativeDifferentialTest, AgreeFromEveryContextNode) {
            {EngineKind::kTopDown, EngineKind::kMinContext,
             EngineKind::kOptMinContext, EngineKind::kBottomUp}) {
         for (const IndexConfig& config : kIndexConfigs) {
-          EvalOptions opts = ConfigOptions(config, engine);
-          StatusOr<Value> actual = Evaluate(compiled, doc, ctx, opts);
-          ASSERT_TRUE(actual.ok()) << query;
+          const Cell cell = MakeCell(query, engine, config);
+          StatusOr<Value> actual = Evaluate(compiled, doc, ctx, cell.options);
+          ASSERT_TRUE(actual.ok()) << cell.label;
           EXPECT_TRUE(actual->StructurallyEquals(*expected))
-              << "query: " << query << " cn=" << cn << " engine "
-              << EngineKindToString(engine) << " index " << config.label
-              << "\nexpected " << expected->Repr() << "\nactual "
-              << actual->Repr();
+              << cell.label << " cn=" << cn << "\nexpected "
+              << expected->Repr() << "\nactual " << actual->Repr();
         }
       }
     }
@@ -303,12 +285,12 @@ TEST_P(AuctionDifferentialTest, EnginesAgreeOnJoins) {
                               EngineKind::kOptMinContext,
                               EngineKind::kBottomUp}) {
       for (const IndexConfig& config : kIndexConfigs) {
-        EvalOptions opts = ConfigOptions(config, engine);
-        StatusOr<Value> actual = Evaluate(compiled, doc, EvalContext{}, opts);
-        ASSERT_TRUE(actual.ok()) << query;
+        const Cell cell = MakeCell(query, engine, config);
+        StatusOr<Value> actual =
+            Evaluate(compiled, doc, EvalContext{}, cell.options);
+        ASSERT_TRUE(actual.ok()) << cell.label;
         EXPECT_TRUE(actual->StructurallyEquals(*expected))
-            << query << " on " << EngineKindToString(engine) << " index "
-            << config.label << " seed " << GetParam() << "\nexpected "
+            << cell.label << " seed " << GetParam() << "\nexpected "
             << expected->Repr() << "\nactual " << actual->Repr();
       }
     }

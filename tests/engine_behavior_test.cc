@@ -339,9 +339,58 @@ TEST(CounterPinTest, RunningExample) {
   ExpectPins(doc, kPins);
 }
 
+// --- Budget trips ------------------------------------------------------------
+
+/// contexts_evaluated of an unbudgeted run of `query` on `engine`.
+uint64_t UnboundedContexts(const xml::Document& doc, const char* query,
+                           EngineKind engine) {
+  EvalStats stats;
+  EvalOptions options;
+  options.engine = engine;
+  options.stats = &stats;
+  EXPECT_TRUE(Evaluate(MustCompile(query), doc, EvalContext{}, options).ok())
+      << EngineKindToString(engine) << " " << query;
+  return stats.contexts_evaluated;
+}
+
+/// A run under `budget` trips exactly once, and contexts_evaluated stops
+/// at the first unit past the budget, whichever engine charged it.
+void ExpectTripAtBudgetPlusOne(const xml::Document& doc, const char* query,
+                               EngineKind engine, uint64_t budget) {
+  EvalStats stats;
+  EvalOptions options;
+  options.engine = engine;
+  options.stats = &stats;
+  options.budget = budget;
+  const StatusOr<Value> v =
+      Evaluate(MustCompile(query), doc, EvalContext{}, options);
+  const std::string label = std::string(EngineKindToString(engine)) + " " +
+                            query + " budget " + std::to_string(budget);
+  ASSERT_FALSE(v.ok()) << label;
+  EXPECT_EQ(v.status().code(), StatusCode::kResourceExhausted) << label;
+  EXPECT_EQ(stats.budget_trips, 1u) << label;
+  EXPECT_EQ(stats.contexts_evaluated, budget + 1) << label;
+}
+
+// Every table engine charges through one budget meter: a trip reads
+// budget + 1 however many units the charge that tripped it carried (a
+// whole E↑ table, a top-down context list, a Core XPath frontier).
+TEST(BudgetTest, EveryTableEngineTripsAtBudgetPlusOne) {
+  const xml::Document doc = xml::MakeRandomDocument(60, {"a", "b", "c"}, 7);
+  const char* query = "//a[b]/c";
+  for (EngineKind engine :
+       {EngineKind::kBottomUp, EngineKind::kTopDown, EngineKind::kMinContext,
+        EngineKind::kOptMinContext, EngineKind::kCoreXPath}) {
+    const uint64_t unbounded = UnboundedContexts(doc, query, engine);
+    ASSERT_GT(unbounded, 10u) << EngineKindToString(engine);
+    for (uint64_t budget : {uint64_t{1}, unbounded / 2}) {
+      ExpectTripAtBudgetPlusOne(doc, query, engine, budget);
+    }
+  }
+}
+
 // A budget that runs out inside a selector row trips where the
-// per-candidate ⟨cp,cs⟩ loop would: one kResourceExhausted trip, with
-// contexts_evaluated stopping at the first unit past the budget.
+// per-candidate ⟨cp,cs⟩ loop would.
 TEST(BudgetTest, TripsInsideASelectorRow) {
   const xml::Document doc = xml::MakeAuctionDocument(12, 1);
   const char* kQueries[] = {
@@ -368,27 +417,10 @@ TEST(BudgetTest, TripsInsideASelectorRow) {
   for (const char* query : kQueries) {
     for (EngineKind engine :
          {EngineKind::kMinContext, EngineKind::kOptMinContext}) {
-      EvalStats unbounded;
-      EvalOptions options;
-      options.engine = engine;
-      options.stats = &unbounded;
-      ASSERT_TRUE(
-          Evaluate(MustCompile(query), doc, EvalContext{}, options).ok());
-      ASSERT_GT(unbounded.contexts_evaluated, 10u) << query;
-      for (uint64_t budget : {unbounded.contexts_evaluated / 2,
-                              unbounded.contexts_evaluated - 2}) {
-        EvalStats stats;
-        options.stats = &stats;
-        options.budget = budget;
-        StatusOr<Value> v =
-            Evaluate(MustCompile(query), doc, EvalContext{}, options);
-        const std::string label = std::string(EngineKindToString(engine)) +
-                                  " " + query + " budget " +
-                                  std::to_string(budget);
-        ASSERT_FALSE(v.ok()) << label;
-        EXPECT_EQ(v.status().code(), StatusCode::kResourceExhausted) << label;
-        EXPECT_EQ(stats.budget_trips, 1u) << label;
-        EXPECT_EQ(stats.contexts_evaluated, budget + 1) << label;
+      const uint64_t unbounded = UnboundedContexts(doc, query, engine);
+      ASSERT_GT(unbounded, 10u) << query;
+      for (uint64_t budget : {unbounded / 2, unbounded - 2}) {
+        ExpectTripAtBudgetPlusOne(doc, query, engine, budget);
       }
     }
   }

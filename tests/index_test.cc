@@ -95,16 +95,14 @@ TEST(DocumentIndexTest, UnknownAndUnnamedLookupsAreEmpty) {
 
 /// Every eligible (axis, test) pair, evaluated from assorted origin sets
 /// on random documents: the indexed kernel must reproduce the scan path
-/// node for node, both behind IndexedStep's cost gate and called directly
-/// on each tier (the gate sends broad child and ancestor steps to the
-/// scan, and IndexedStep runs the hot tier only).
+/// node for node on each tier, including the broad child and ancestor
+/// steps IndexedStepWorthwhile sends to the scan.
 TEST(StepIndexTest, IndexedStepMatchesScanPath) {
   const std::vector<NodeTest> tests = {NameTest("a"), NameTest("b"),
                                        NameTest("nosuch"), NameTest("id"),
                                        AnyTest()};
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     xml::Document doc = xml::MakeRandomDocument(60, {"a", "b", "c"}, seed);
-    const DocumentIndex& idx = doc.index();
     // Origin sets: every node alone, stride-3 and stride-7 sets (nested
     // origins), every other child of the document element (disjoint
     // origins with gaps between them) and the universe.
@@ -137,11 +135,6 @@ TEST(StepIndexTest, IndexedStepMatchesScanPath) {
         for (const NodeSet& x : origin_sets) {
           NodeSet scan =
               ApplyNodeTest(doc, axis, test, EvalAxis(doc, axis, x));
-          NodeSet indexed = index::IndexedStep(doc, idx, axis, test, x);
-          ASSERT_EQ(indexed, scan)
-              << "seed " << seed << " axis " << AxisToString(axis) << " test "
-              << test.ToString() << " |x|=" << x.size() << "\nscan    "
-              << scan.ToString() << "\nindexed " << indexed.ToString();
           for (index::IndexTier tier :
                {index::IndexTier::kHot, index::IndexTier::kDense}) {
             const index::PostingsView postings =
@@ -162,7 +155,6 @@ TEST(StepIndexTest, IndexedStepMatchesScanPath) {
 
 TEST(StepIndexTest, IndexedApplyNodeTestMatchesScanPath) {
   xml::Document doc = xml::MakeRandomDocument(80, {"a", "b", "c"}, 99);
-  const DocumentIndex& idx = doc.index();
   std::vector<NodeSet> sets = {NodeSet::Universe(doc.size()), NodeSet(),
                                NodeSet::Single(0)};
   NodeSet stride;
@@ -172,9 +164,15 @@ TEST(StepIndexTest, IndexedApplyNodeTestMatchesScanPath) {
     for (const NodeTest& test :
          {NameTest("a"), NameTest("id"), NameTest("zz"), AnyTest()}) {
       for (const NodeSet& set : sets) {
-        EXPECT_EQ(index::IndexedApplyNodeTest(doc, idx, axis, test, set),
-                  ApplyNodeTest(doc, axis, test, set))
-            << AxisToString(axis) << " " << test.ToString();
+        for (index::IndexTier tier :
+             {index::IndexTier::kHot, index::IndexTier::kDense}) {
+          std::vector<NodeId> out;
+          index::IndexedApplyNodeTestInto(doc, doc.index_view(tier), axis,
+                                          test, set.ids(), &out);
+          EXPECT_EQ(out, ApplyNodeTest(doc, axis, test, set).ids())
+              << AxisToString(axis) << " " << test.ToString() << " tier "
+              << index::IndexTierToString(tier);
+        }
       }
     }
   }

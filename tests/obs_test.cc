@@ -263,13 +263,7 @@ struct ProfiledRun {
 };
 
 ProfiledRun RunOnce(const xpath::CompiledQuery& q, const xml::Document& doc,
-                    EngineKind engine, bool use_index, ResultMode mode,
-                    bool profiled) {
-  EvalOptions options;
-  options.engine = engine;
-  options.use_index = use_index;
-  options.result.mode = mode;
-  if (mode == ResultMode::kLimit) options.result.limit = 2;
+                    EvalOptions options, bool profiled) {
   EvalStats stats;
   options.stats = &stats;
   obs::QueryProfile profile;
@@ -306,34 +300,24 @@ TEST(ProfilerDifferentialTest, ProfilingChangesNoResultAndNoStats) {
   };
   for (const std::string& text : queries) {
     const xpath::CompiledQuery q = test::MustCompile(text);
-    const bool is_node_set = q.result_type() == xpath::ValueType::kNodeSet;
-    const std::vector<ResultMode> modes =
-        is_node_set ? std::vector<ResultMode>{ResultMode::kFull,
-                                              ResultMode::kExists,
-                                              ResultMode::kFirst,
-                                              ResultMode::kCount,
-                                              ResultMode::kLimit}
-                    : std::vector<ResultMode>{ResultMode::kFull};
     for (EngineKind engine : AllEngines()) {
-      if (engine == EngineKind::kCoreXPath &&
-          q.fragment() != xpath::Fragment::kCoreXPath) {
-        continue;
-      }
-      for (bool use_index : {false, true}) {
-        for (ResultMode mode : modes) {
+      if (!test::EngineRuns(engine, q)) continue;
+      for (const test::IndexConfig& index : test::kIndexOffOn) {
+        for (const test::ModeConfig& mode : test::kModeConfigs) {
+          if (mode.mode != ResultMode::kFull &&
+              q.result_type() != xpath::ValueType::kNodeSet) {
+            continue;
+          }
+          const test::Cell cell = test::MakeCell(text, engine, index, mode);
           const ProfiledRun off =
-              RunOnce(q, doc, engine, use_index, mode, /*profiled=*/false);
+              RunOnce(q, doc, cell.options, /*profiled=*/false);
           const ProfiledRun on =
-              RunOnce(q, doc, engine, use_index, mode, /*profiled=*/true);
-          const std::string label =
-              text + " / " + EngineKindToString(engine) +
-              (use_index ? " +index" : " -index") + " / " +
-              ResultModeToString(mode);
-          EXPECT_EQ(off.repr, on.repr) << label;
-          EXPECT_EQ(off.stats, on.stats) << label;
+              RunOnce(q, doc, cell.options, /*profiled=*/true);
+          EXPECT_EQ(off.repr, on.repr) << cell.label;
+          EXPECT_EQ(off.stats, on.stats) << cell.label;
           // The acceptance invariant: profiler rows account for every
           // node the stats counter saw, exactly.
-          EXPECT_EQ(on.visited_rows, on.visited_stats) << label;
+          EXPECT_EQ(on.visited_rows, on.visited_stats) << cell.label;
         }
       }
     }

@@ -266,59 +266,32 @@ class OptimizerDifferentialTest : public testing::TestWithParam<uint64_t> {};
 TEST_P(OptimizerDifferentialTest, OptimizedPlansMatchUnoptimizedPlans) {
   xml::Document doc =
       xml::MakeRandomDocument(60, {"a", "b", "c"}, GetParam());
+  // Every result mode, plus a kLimit that keeps a single node.
+  std::vector<test::ModeConfig> modes(std::begin(test::kModeConfigs),
+                                      std::end(test::kModeConfigs));
+  modes.push_back({ResultMode::kLimit, 1});
   for (const char* query : kOptimizerCorpus) {
     const xpath::CompiledQuery optimized = MustCompile(query);
     const xpath::CompiledQuery unoptimized = CompileUnoptimized(query);
-    std::vector<EngineKind> engines = {
-        EngineKind::kNaive,      EngineKind::kBottomUp,
-        EngineKind::kTopDown,    EngineKind::kMinContext,
-        EngineKind::kOptMinContext};
-    // kCoreXPath accepts a query iff its (per-plan) fragment is Core
-    // XPath; the optimizer can only widen the fragment (e.g. by folding
-    // away a non-core predicate), so gate on the narrower plan.
-    if (optimized.fragment() == xpath::Fragment::kCoreXPath &&
-        unoptimized.fragment() == xpath::Fragment::kCoreXPath) {
-      engines.push_back(EngineKind::kCoreXPath);
-    }
-    for (EngineKind engine : engines) {
-      for (bool use_index : {false, true}) {
-        EvalOptions opts;
-        opts.engine = engine;
-        opts.use_index = use_index;
-        const std::string label =
-            std::string(query) + " on " + EngineKindToString(engine) +
-            (use_index ? " +index" : " -index") + " seed " +
-            std::to_string(GetParam());
-
-        StatusOr<NodeSet> want = EvaluateNodeSet(unoptimized, doc, {}, opts);
-        ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
-        StatusOr<NodeSet> got = EvaluateNodeSet(optimized, doc, {}, opts);
-        ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-        EXPECT_EQ(*got, *want) << label;
-
-        auto eval_mode = [&](const xpath::CompiledQuery& plan,
-                             ResultMode mode, uint64_t limit) {
-          EvalOptions mode_opts = opts;
-          mode_opts.result.mode = mode;
-          mode_opts.result.limit = limit;
-          StatusOr<Value> v = Evaluate(plan, doc, {}, mode_opts);
-          EXPECT_TRUE(v.ok()) << label << ": " << v.status().ToString();
-          return std::move(v).value();
-        };
-        EXPECT_EQ(eval_mode(optimized, ResultMode::kExists, 0).boolean(),
-                  eval_mode(unoptimized, ResultMode::kExists, 0).boolean())
-            << label;
-        EXPECT_EQ(eval_mode(optimized, ResultMode::kCount, 0).number(),
-                  eval_mode(unoptimized, ResultMode::kCount, 0).number())
-            << label;
-        EXPECT_EQ(eval_mode(optimized, ResultMode::kFirst, 0).node_set(),
-                  eval_mode(unoptimized, ResultMode::kFirst, 0).node_set())
-            << label;
-        for (uint64_t limit : {1u, 3u}) {
-          EXPECT_EQ(
-              eval_mode(optimized, ResultMode::kLimit, limit).node_set(),
-              eval_mode(unoptimized, ResultMode::kLimit, limit).node_set())
-              << label << " limit " << limit;
+    for (EngineKind engine : AllEngines()) {
+      // The fragment is per plan; Core XPath must accept both.
+      if (!test::EngineRuns(engine, optimized) ||
+          !test::EngineRuns(engine, unoptimized)) {
+        continue;
+      }
+      for (const test::IndexConfig& index : test::kIndexOffOn) {
+        for (const test::ModeConfig& mode : modes) {
+          const test::Cell cell = test::MakeCell(query, engine, index, mode);
+          const std::string label = cell.label + " limit " +
+                                    std::to_string(mode.limit) + " seed " +
+                                    std::to_string(GetParam());
+          StatusOr<Value> want = Evaluate(unoptimized, doc, {}, cell.options);
+          ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+          StatusOr<Value> got = Evaluate(optimized, doc, {}, cell.options);
+          ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+          EXPECT_TRUE(got->StructurallyEquals(*want))
+              << label << "\nwant " << want->Repr() << "\ngot  "
+              << got->Repr();
         }
       }
     }
@@ -332,18 +305,13 @@ TEST_P(OptimizerDifferentialTest, ScalarQueriesMatchToo) {
     const xpath::CompiledQuery optimized = MustCompile(query);
     const xpath::CompiledQuery unoptimized = CompileUnoptimized(query);
     for (EngineKind engine : test::ConformanceEngines()) {
-      for (bool use_index : {false, true}) {
-        EvalOptions opts;
-        opts.engine = engine;
-        opts.use_index = use_index;
-        const std::string label =
-            std::string(query) + " on " + EngineKindToString(engine) +
-            (use_index ? " +index" : " -index");
-        StatusOr<Value> want = Evaluate(unoptimized, doc, {}, opts);
-        StatusOr<Value> got = Evaluate(optimized, doc, {}, opts);
-        ASSERT_TRUE(want.ok() && got.ok()) << label;
-        EXPECT_EQ(got->type(), want->type()) << label;
-        EXPECT_EQ(got->ToString(doc), want->ToString(doc)) << label;
+      for (const test::IndexConfig& index : test::kIndexOffOn) {
+        const test::Cell cell = test::MakeCell(query, engine, index);
+        StatusOr<Value> want = Evaluate(unoptimized, doc, {}, cell.options);
+        StatusOr<Value> got = Evaluate(optimized, doc, {}, cell.options);
+        ASSERT_TRUE(want.ok() && got.ok()) << cell.label;
+        EXPECT_EQ(got->type(), want->type()) << cell.label;
+        EXPECT_EQ(got->ToString(doc), want->ToString(doc)) << cell.label;
       }
     }
   }

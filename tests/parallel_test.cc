@@ -199,12 +199,24 @@ const char* kAttributeCorpus[] = {
 
 struct ParallelDiffCase {
   EngineKind engine;
-  bool use_index;
-  /// The tier serving the indexed kernels (ignored for scan cases):
-  /// the partitioned parallel paths must be bit-identical across flat
+  /// The partitioned parallel paths must be bit-identical across flat
   /// and succinct postings, results and stats both.
-  index::IndexTier tier = index::IndexTier::kHot;
+  test::IndexConfig index;
 };
+
+/// Every engine on every index config, except the naive engine, which
+/// ignores the index and runs once.
+std::vector<ParallelDiffCase> ParallelDiffCases() {
+  std::vector<ParallelDiffCase> cases;
+  for (EngineKind engine : AllEngines()) {
+    for (const test::IndexConfig& index : test::kIndexConfigs) {
+      if (engine != EngineKind::kNaive || !index.use_index) {
+        cases.push_back({engine, index});
+      }
+    }
+  }
+  return cases;
+}
 
 /// The table-filling engines pay |D|²-and-worse per evaluation, so they
 /// get a small document; the linear engines get one large enough that
@@ -229,43 +241,22 @@ void ExpectParallelMatchesSequential(const xml::Document& doc,
   doc.WarmCaches();
   for (const char* query : corpus) {
     const xpath::CompiledQuery plan = MustCompile(query);
-    if (c.engine == EngineKind::kCoreXPath &&
-        plan.fragment() != xpath::Fragment::kCoreXPath) {
-      continue;
-    }
-    struct ModeCase {
-      ResultMode mode;
-      uint64_t limit;
-    };
-    const ModeCase modes[] = {{ResultMode::kFull, 0},
-                              {ResultMode::kFirst, 0},
-                              {ResultMode::kExists, 0},
-                              {ResultMode::kCount, 0},
-                              {ResultMode::kLimit, 3}};
-    for (const ModeCase& mode : modes) {
+    if (!test::EngineRuns(c.engine, plan)) continue;
+    for (const test::ModeConfig& mode : test::kModeConfigs) {
       if (mode.mode != ResultMode::kFull &&
           plan.result_type() != xpath::ValueType::kNodeSet) {
         continue;
       }
+      const test::Cell cell = test::MakeCell(query, c.engine, c.index, mode);
       EvalStats want_stats;
-      EvalOptions opts;
-      opts.engine = c.engine;
-      opts.use_index = c.use_index;
-      if (c.use_index) opts.index_tier = c.tier;
-      opts.result.mode = mode.mode;
-      opts.result.limit = mode.limit;
+      EvalOptions opts = cell.options;
       opts.stats = &want_stats;
       StatusOr<Value> want = Evaluate(plan, doc, {}, opts);
-      ASSERT_TRUE(want.ok()) << query << ": " << want.status().ToString();
+      ASSERT_TRUE(want.ok()) << cell.label << ": " << want.status().ToString();
 
       for (uint32_t workers : {1u, 2u, 4u, 8u}) {
         const std::string label =
-            std::string(query) + " on " + EngineKindToString(c.engine) +
-            (c.use_index ? std::string(" +index:") +
-                               index::IndexTierToString(c.tier)
-                         : std::string(" -index")) +
-            " mode " + ResultModeToString(mode.mode) + " workers " +
-            std::to_string(workers);
+            cell.label + " workers " + std::to_string(workers);
         EvalStats got_stats;
         EvalOptions popts = opts;
         popts.stats = &got_stats;
@@ -295,34 +286,13 @@ TEST_P(ParallelDifferentialTest, AttributeStepsMatchSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Engines, ParallelDifferentialTest,
-    testing::Values(
-        ParallelDiffCase{EngineKind::kNaive, false},
-        ParallelDiffCase{EngineKind::kBottomUp, false},
-        ParallelDiffCase{EngineKind::kBottomUp, true},
-        ParallelDiffCase{EngineKind::kBottomUp, true, index::IndexTier::kDense},
-        ParallelDiffCase{EngineKind::kTopDown, false},
-        ParallelDiffCase{EngineKind::kTopDown, true},
-        ParallelDiffCase{EngineKind::kTopDown, true, index::IndexTier::kDense},
-        ParallelDiffCase{EngineKind::kMinContext, false},
-        ParallelDiffCase{EngineKind::kMinContext, true},
-        ParallelDiffCase{EngineKind::kMinContext, true,
-                         index::IndexTier::kDense},
-        ParallelDiffCase{EngineKind::kOptMinContext, false},
-        ParallelDiffCase{EngineKind::kOptMinContext, true},
-        ParallelDiffCase{EngineKind::kOptMinContext, true,
-                         index::IndexTier::kDense},
-        ParallelDiffCase{EngineKind::kCoreXPath, false},
-        ParallelDiffCase{EngineKind::kCoreXPath, true},
-        ParallelDiffCase{EngineKind::kCoreXPath, true,
-                         index::IndexTier::kDense}),
+    Engines, ParallelDifferentialTest, testing::ValuesIn(ParallelDiffCases()),
     [](const testing::TestParamInfo<ParallelDiffCase>& info) {
       std::string name = EngineKindToString(info.param.engine);
       for (char& ch : name) {
         if (ch == '-') ch = '_';
       }
-      if (!info.param.use_index) return name + "_scan";
-      return name + "_" + index::IndexTierToString(info.param.tier);
+      return name + "_" + info.param.index.label;
     });
 
 // --- early termination under parallel eval ----------------------------------

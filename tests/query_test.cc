@@ -255,22 +255,13 @@ TEST_P(ModeDifferentialTest, ModesAgreeWithFullReductions) {
       xml::MakeRandomDocument(40, {"a", "b", "c"}, GetParam());
   for (const char* query : kModeCorpus) {
     xpath::CompiledQuery compiled = MustCompile(query);
-    std::vector<EngineKind> engines = {
-        EngineKind::kNaive,         EngineKind::kBottomUp,
-        EngineKind::kTopDown,       EngineKind::kMinContext,
-        EngineKind::kOptMinContext};
-    if (compiled.fragment() == xpath::Fragment::kCoreXPath) {
-      engines.push_back(EngineKind::kCoreXPath);
-    }
-    for (EngineKind engine : engines) {
-      for (bool use_index : {false, true}) {
-        EvalOptions opts;
-        opts.engine = engine;
-        opts.use_index = use_index;
+    for (EngineKind engine : AllEngines()) {
+      if (!test::EngineRuns(engine, compiled)) continue;
+      for (const test::IndexConfig& index : test::kIndexOffOn) {
+        const test::Cell cell = test::MakeCell(query, engine, index);
+        const EvalOptions& opts = cell.options;
         const std::string label =
-            std::string(query) + " on " + EngineKindToString(engine) +
-            (use_index ? " +index" : " -index") +
-            " seed " + std::to_string(GetParam());
+            cell.label + " seed " + std::to_string(GetParam());
 
         StatusOr<NodeSet> full = EvaluateNodeSet(compiled, doc, {}, opts);
         ASSERT_TRUE(full.ok()) << label << ": " << full.status().ToString();

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,66 @@ struct EngineName {
     return name;
   }
 };
+
+// --- The differential matrices' shared axes ---------------------------------
+
+/// The index axis: no index at all, the flat hot tier, and the succinct
+/// dense tier. The tiers must be invisible in results and bit-identical
+/// to each other in EvalStats (same kernels, same counting).
+struct IndexConfig {
+  const char* label;
+  bool use_index;
+  index::IndexTier tier;  // meaningful only when use_index
+};
+inline constexpr IndexConfig kIndexConfigs[] = {
+    {"scan", false, index::IndexTier::kHot},
+    {"hot", true, index::IndexTier::kHot},
+    {"dense", true, index::IndexTier::kDense},
+};
+/// Index off, and on over the hot tier.
+inline constexpr std::span<const IndexConfig> kIndexOffOn =
+    std::span(kIndexConfigs).first(2);
+
+/// The result-mode axis: every mode once, kLimit with a limit below most
+/// corpus results.
+struct ModeConfig {
+  ResultMode mode;
+  uint64_t limit;
+};
+inline constexpr ModeConfig kModeConfigs[] = {
+    {ResultMode::kFull, 0},   {ResultMode::kFirst, 0},
+    {ResultMode::kExists, 0}, {ResultMode::kCount, 0},
+    {ResultMode::kLimit, 3},
+};
+
+/// One matrix cell: the options to evaluate it with and the label that
+/// names it in failure messages.
+struct Cell {
+  EvalOptions options;
+  std::string label;
+};
+
+inline Cell MakeCell(std::string_view query, EngineKind engine,
+                     const IndexConfig& index,
+                     const ModeConfig& mode = kModeConfigs[0]) {
+  Cell cell;
+  cell.options.engine = engine;
+  cell.options.use_index = index.use_index;
+  if (index.use_index) cell.options.index_tier = index.tier;
+  cell.options.result.mode = mode.mode;
+  cell.options.result.limit = mode.limit;
+  cell.label = std::string(query) + " on " + EngineKindToString(engine) +
+               " index " + index.label + " mode " +
+               ResultModeToString(mode.mode);
+  return cell;
+}
+
+/// Whether a matrix runs `engine` on `plan`: the Core XPath engine only
+/// accepts its own fragment.
+inline bool EngineRuns(EngineKind engine, const xpath::CompiledQuery& plan) {
+  return engine != EngineKind::kCoreXPath ||
+         plan.fragment() == xpath::Fragment::kCoreXPath;
+}
 
 }  // namespace xpe::test
 
