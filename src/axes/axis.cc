@@ -194,12 +194,15 @@ NodeSet AttributesOf(const Document& doc, const NodeSet& xs) {
   return out;
 }
 
+/// Gathers and sorts the targets, so a per-origin step costs its targets,
+/// not |D|.
 NodeSet IdTargetsOf(const Document& doc, const NodeSet& xs) {
-  NodeBitmap out(doc.size());
+  std::vector<NodeId> out;
   for (NodeId x : xs) {
-    for (NodeId y : doc.IdAxisForward(x)) out.Set(y);
+    const std::vector<NodeId>& targets = doc.IdAxisForward(x);
+    out.insert(out.end(), targets.begin(), targets.end());
   }
-  return out.ToNodeSet();
+  return NodeSet(std::move(out));
 }
 
 NodeSet NonAttributes(const Document& doc, const NodeSet& xs) {

@@ -1,7 +1,5 @@
 #include "src/axes/node_table.h"
 
-#include <vector>
-
 namespace xpe {
 
 void NodeTable::Reset(EvalArena* arena, uint32_t num_keys) {
@@ -40,6 +38,16 @@ void NodeTable::CopyRows(const NodeTable& other) {
   for (uint32_t k = 0; k < other.num_keys_ && k < num_keys_; ++k) {
     if (other.has_row(k)) SetRow(k, other.Row(k));
   }
+}
+
+void NodeTable::UnionRowsInto(std::span<const xml::NodeId> keys,
+                              std::vector<xml::NodeId>* out) const {
+  out->clear();
+  for (xml::NodeId key : keys) {
+    const std::span<const xml::NodeId> row = Row(key);
+    out->insert(out->end(), row.begin(), row.end());
+  }
+  SortUnique(out);
 }
 
 NodeSet NodeTable::RowAsNodeSet(uint32_t key) const {

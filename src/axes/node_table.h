@@ -2,6 +2,7 @@
 #define XPE_AXES_NODE_TABLE_H_
 
 #include <span>
+#include <vector>
 
 #include "src/axes/arena.h"
 #include "src/axes/node_set.h"
@@ -83,6 +84,11 @@ class NodeTable {
 
   /// Copies every committed row of `other` (same num_keys assumed).
   void CopyRows(const NodeTable& other);
+
+  /// The union of the rows of `keys`, sorted and duplicate-free, into a
+  /// caller-owned buffer (cleared first).
+  void UnionRowsInto(std::span<const xml::NodeId> keys,
+                     std::vector<xml::NodeId>* out) const;
 
   /// Total ids stored across committed rows — the "table cells" the
   /// space instrumentation counts.

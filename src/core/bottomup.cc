@@ -230,13 +230,9 @@ class BottomUpEvaluator {
         if (n.fn != FunctionId::kId) {
           return Status::Internal("node-set function unsupported in E-up");
         }
-        EvalWorkspace::ScratchIds targets = ws_.AcquireIds();
         for (NodeId x = 0; x < n_; ++x) {
           const Value& s = Lookup(n.children[0], x, 1, 1);
-          const std::vector<NodeId> derefed = doc_.DerefIds(s.ToString(doc_));
-          targets->assign(derefed.begin(), derefed.end());
-          SortUnique(targets.get());
-          rel.SetRow(x, *targets);
+          rel.SetRow(x, doc_.DerefIds(s.ToString(doc_)));
         }
         break;
       }
@@ -267,14 +263,7 @@ class BottomUpEvaluator {
     EvalWorkspace::ScratchIds kept = ws_.AcquireIds();
     for (NodeId y = 0; y < n_; ++y) {
       if (!in_frontier.Test(y)) continue;
-      if (step.axis == Axis::kId) {
-        ++sc_.stats().axis_evals;
-        const std::vector<NodeId>& targets = doc_.IdAxisForward(y);
-        candidates->assign(targets.begin(), targets.end());
-        SortUnique(candidates.get());
-      } else {
-        kernel.EvalInto({&y, 1}, candidates.get());
-      }
+      kernel.EvalInto({&y, 1}, candidates.get());
       OrderForAxisInto(step.axis, *candidates, ordered.get());
       for (AstId pred : step.children) {
         const uint32_t m = static_cast<uint32_t>(ordered->size());
@@ -295,12 +284,7 @@ class BottomUpEvaluator {
     NodeTable next = NewRelation();
     EvalWorkspace::ScratchIds merged = ws_.AcquireIds();
     for (NodeId x = 0; x < n_; ++x) {
-      merged->clear();
-      for (NodeId y : rel->Row(x)) {
-        const std::span<const NodeId> targets = step_of.Row(y);
-        merged->insert(merged->end(), targets.begin(), targets.end());
-      }
-      SortUnique(merged.get());
+      step_of.UnionRowsInto(rel->Row(x), merged.get());
       next.SetRow(x, *merged);
     }
     *rel = std::move(next);

@@ -63,31 +63,37 @@ void MinContextEngine::StoreRelRow(AstId id, NodeId origin,
 /// a caller (e.g. a ⟨cp,cs⟩ loop) reaches a node the batch pass skipped.
 StatusOr<Value> MinContextEngine::EvalSingleContext(AstId id, NodeId cn,
                                                     uint32_t cp, uint32_t cs) {
-  const AstNode& n = tree_.node(id);
-  if (!DependsOnPosition(id)) {
-    if (IsNodeSetTyped(id)) {
-      if (!rel_table(id).has_row(cn)) {
-        XPE_RETURN_IF_ERROR(EvalInnerNodeSet(id, NodeSet::Single(cn)));
-      }
-      return Value::Nodes(rel_table(id).RowAsNodeSet(cn));
+  // Depends on cp/cs: evaluated per context, never tabled (§3.1).
+  if (DependsOnPosition(id)) return EvalOperator(id, cn, cp, cs);
+  if (IsNodeSetTyped(id)) {
+    if (!rel_table(id).has_row(cn)) {
+      XPE_RETURN_IF_ERROR(EvalInnerNodeSet(id, NodeSet::Single(cn)));
     }
-    ScalarTable& t = scalar_table(id);
-    if (t.bottom_up_done) return Value::Boolean(t.bottom_up[cn] != 0);
-    if ((Relev(id) & xpath::kRelevCn) == 0) {
-      if (!t.const_computed) {
-        XPE_RETURN_IF_ERROR(EvalByCnodeOnly(id, NodeSet::Single(cn)));
-      }
-      return t.const_value;
-    }
-    if (t.Find(cn) == nullptr) {
+    return Value::Nodes(rel_table(id).RowAsNodeSet(cn));
+  }
+  ScalarTable& t = scalar_table(id);
+  if (t.bottom_up_done) return Value::Boolean(t.bottom_up[cn] != 0);
+  if ((Relev(id) & xpath::kRelevCn) == 0) {
+    if (!t.const_computed) {
       XPE_RETURN_IF_ERROR(EvalByCnodeOnly(id, NodeSet::Single(cn)));
     }
-    return *t.Find(cn);
+    return t.const_value;
   }
+  if (t.Find(cn) == nullptr) {
+    XPE_RETURN_IF_ERROR(EvalByCnodeOnly(id, NodeSet::Single(cn)));
+  }
+  return *t.Find(cn);
+}
 
-  // Depends on cp/cs: evaluated per context, never tabled (§3.1).
+StatusOr<Value> MinContextEngine::EvalOperator(AstId id, NodeId cn,
+                                               uint32_t cp, uint32_t cs) {
   XPE_RETURN_IF_ERROR(sc_.Charge());
+  const AstNode& n = tree_.node(id);
   switch (n.kind) {
+    case ExprKind::kNumberLiteral:
+      return Value::Number(n.number);
+    case ExprKind::kStringLiteral:
+      return Value::String(n.string);
     case ExprKind::kFunctionCall: {
       if (n.fn == FunctionId::kPosition) {
         return Value::Number(static_cast<double>(cp));
@@ -104,9 +110,9 @@ StatusOr<Value> MinContextEngine::EvalSingleContext(AstId id, NodeId cn,
       return ApplyFunction(doc_, n.fn, args);
     }
     case ExprKind::kBinaryOp: {
+      XPE_ASSIGN_OR_RETURN(Value lhs,
+                           EvalSingleContext(n.children[0], cn, cp, cs));
       if (n.op == BinOp::kAnd || n.op == BinOp::kOr) {
-        XPE_ASSIGN_OR_RETURN(Value lhs,
-                             EvalSingleContext(n.children[0], cn, cp, cs));
         const bool l = lhs.boolean();
         if (n.op == BinOp::kAnd && !l) return Value::Boolean(false);
         if (n.op == BinOp::kOr && l) return Value::Boolean(true);
@@ -114,8 +120,6 @@ StatusOr<Value> MinContextEngine::EvalSingleContext(AstId id, NodeId cn,
                              EvalSingleContext(n.children[1], cn, cp, cs));
         return Value::Boolean(rhs.boolean());
       }
-      XPE_ASSIGN_OR_RETURN(Value lhs,
-                           EvalSingleContext(n.children[0], cn, cp, cs));
       XPE_ASSIGN_OR_RETURN(Value rhs,
                            EvalSingleContext(n.children[1], cn, cp, cs));
       if (BinOpIsComparison(n.op)) {
@@ -129,8 +133,8 @@ StatusOr<Value> MinContextEngine::EvalSingleContext(AstId id, NodeId cn,
       return Value::Number(-v.number());
     }
     default:
-      return StatusOr<Value>(Status::Internal(
-          "position-dependent node of unexpected kind in eval_single_context"));
+      return StatusOr<Value>(
+          Status::Internal("unexpected scalar kind in MINCONTEXT"));
   }
 }
 
@@ -153,64 +157,42 @@ Status MinContextEngine::EvalByCnodeOnly(AstId id, const NodeSet& x) {
   for (AstId child : n.children) {
     XPE_RETURN_IF_ERROR(EvalByCnodeOnly(child, x));
   }
-  auto compute = [&](NodeId cn) -> StatusOr<Value> {
-    XPE_RETURN_IF_ERROR(sc_.Charge());
-    switch (n.kind) {
-      case ExprKind::kNumberLiteral:
-        return Value::Number(n.number);
-      case ExprKind::kStringLiteral:
-        return Value::String(n.string);
-      case ExprKind::kFunctionCall: {
-        std::vector<Value> args;
-        args.reserve(n.children.size());
-        for (AstId child : n.children) {
-          XPE_ASSIGN_OR_RETURN(Value v, EvalSingleContext(child, cn, 0, 0));
-          args.push_back(std::move(v));
-        }
-        return ApplyFunction(doc_, n.fn, args);
-      }
-      case ExprKind::kBinaryOp: {
-        XPE_ASSIGN_OR_RETURN(Value lhs,
-                             EvalSingleContext(n.children[0], cn, 0, 0));
-        XPE_ASSIGN_OR_RETURN(Value rhs,
-                             EvalSingleContext(n.children[1], cn, 0, 0));
-        if (n.op == BinOp::kAnd || n.op == BinOp::kOr) {
-          return Value::Boolean(n.op == BinOp::kAnd
-                                    ? lhs.boolean() && rhs.boolean()
-                                    : lhs.boolean() || rhs.boolean());
-        }
-        if (BinOpIsComparison(n.op)) {
-          return Value::Boolean(EvalComparison(doc_, n.op, lhs, rhs));
-        }
-        return Value::Number(
-            EvalArithmetic(n.op, lhs.number(), rhs.number()));
-      }
-      case ExprKind::kUnaryMinus: {
-        XPE_ASSIGN_OR_RETURN(Value v,
-                             EvalSingleContext(n.children[0], cn, 0, 0));
-        return Value::Number(-v.number());
-      }
-      default:
-        return StatusOr<Value>(
-            Status::Internal("unexpected scalar kind in eval_by_cnode_only"));
-    }
-  };
-
   if ((Relev(id) & xpath::kRelevCn) == 0) {
     if (scalar_table(id).const_computed) return Status::OK();
     // Context-free: one evaluation suffices. Any representative context
     // node works; the root always exists.
     NodeId rep = x.empty() ? doc_.root() : x.First();
-    XPE_ASSIGN_OR_RETURN(Value v, compute(rep));
+    XPE_ASSIGN_OR_RETURN(Value v, EvalOperator(id, rep, 0, 0));
     StoreScalarConst(id, std::move(v));
     return Status::OK();
   }
   for (NodeId cn : x) {
     if (scalar_table(id).Find(cn) != nullptr) continue;
-    XPE_ASSIGN_OR_RETURN(Value v, compute(cn));
+    XPE_ASSIGN_OR_RETURN(Value v, EvalOperator(id, cn, 0, 0));
     StoreScalarRow(id, cn, std::move(v));
   }
   return Status::OK();
+}
+
+StatusOr<NodeSet> MinContextEngine::KeepSatisfying(
+    std::span<const AstId> preds, NodeSet nodes) {
+  for (AstId pred : preds) {
+    XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, nodes));
+  }
+  for (AstId pred : preds) {
+    NodeSet kept;
+    for (NodeId y : nodes) {
+      XPE_ASSIGN_OR_RETURN(Value v, EvalSingleContext(pred, y, 0, 0));
+      if (v.ToBoolean()) kept.PushBackOrdered(y);
+    }
+    nodes = std::move(kept);
+  }
+  return nodes;
+}
+
+bool MinContextEngine::AnyPositional(std::span<const AstId> preds) const {
+  return std::any_of(preds.begin(), preds.end(),
+                     [&](AstId pred) { return DependsOnPosition(pred); });
 }
 
 namespace {
@@ -271,16 +253,19 @@ Status MinContextEngine::FilterByPredicatesSingle(
   return Status::OK();
 }
 
-MinContextEngine::StepRows MinContextEngine::PrepareRows(
-    AstId step_id, std::span<const NodeId> image) {
+StatusOr<MinContextEngine::StepRows> MinContextEngine::PrepareRows(
+    AstId step_id, const NodeSet& image) {
   const AstNode& step = tree_.node(step_id);
+  for (AstId pred : step.children) {
+    XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, image));
+  }
   std::optional<PositionSelector> rank_by;
   if (step.axis == Axis::kFollowingSibling ||
       step.axis == Axis::kPrecedingSibling) {
     rank_by = AsPositionSelector(tree_, step.children[0]);
   }
-  StepRows rows{.step_id = step_id, .image = image, .rank_by = rank_by,
-                .by_parent = ws_.AcquireIds()};
+  StepRows rows{.step_id = step_id, .image = image.ids(),
+                .rank_by = rank_by, .by_parent = ws_.AcquireIds()};
   if (rank_by) {
     rows.by_parent->assign(image.begin(), image.end());
     std::sort(rows.by_parent->begin(), rows.by_parent->end(),
@@ -340,38 +325,11 @@ Status MinContextEngine::EvalStepRelation(AstId step_id, const NodeSet& x,
   const AstNode& step = tree_.node(step_id);
   XPE_RETURN_IF_ERROR(sc_.Charge(x.size()));
   out->Reset(ws_.arena(), doc_.size());
+  NodeSet y_all = StepImage(step_id, x);
 
-  if (step.axis == Axis::kId) {
-    EvalWorkspace::ScratchIds targets = ws_.AcquireIds();
-    for (NodeId origin : x) {
-      const std::vector<NodeId>& fwd = doc_.IdAxisForward(origin);
-      targets->assign(fwd.begin(), fwd.end());
-      SortUnique(targets.get());
-      out->SetRow(origin, *targets);
-    }
-    return Status::OK();
-  }
-
-  const NodeSet y_all = StepImage(step_id, x);
-
-  bool positional = false;
-  for (AstId pred : step.children) {
-    positional = positional || DependsOnPosition(pred);
-  }
-  for (AstId pred : step.children) {
-    XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, y_all));
-  }
-
-  if (!positional) {
-    NodeSet survivors = y_all;
-    for (AstId pred : step.children) {
-      NodeSet kept;
-      for (NodeId y : survivors) {
-        XPE_ASSIGN_OR_RETURN(Value v, EvalSingleContext(pred, y, 0, 0));
-        if (v.ToBoolean()) kept.PushBackOrdered(y);
-      }
-      survivors = std::move(kept);
-    }
+  if (!AnyPositional(step.children)) {
+    XPE_ASSIGN_OR_RETURN(const NodeSet survivors,
+                         KeepSatisfying(step.children, std::move(y_all)));
     EvalWorkspace::ScratchIds row = ws_.AcquireIds();
     for (NodeId origin : x) {
       row->clear();
@@ -387,7 +345,7 @@ Status MinContextEngine::EvalStepRelation(AstId step_id, const NodeSet& x,
 
   // At least one predicate reads cp/cs: loop over previous/current
   // context-node pairs (the §3.1 "treating position and size in a loop").
-  const StepRows rows = PrepareRows(step_id, y_all.ids());
+  XPE_ASSIGN_OR_RETURN(const StepRows rows, PrepareRows(step_id, y_all));
   EvalWorkspace::ScratchIds row = ws_.AcquireIds();
   for (NodeId origin : x) {
     XPE_RETURN_IF_ERROR(SelectRow(rows, origin, row.get()));
@@ -459,12 +417,8 @@ Status MinContextEngine::EvalInnerNodeSet(AstId id, const NodeSet& x) {
         NodeTable next;
         next.Reset(ws_.arena(), static_cast<uint32_t>(missing.size()));
         for (size_t i = 0; i < missing.size(); ++i) {
-          merged->clear();
-          for (NodeId y : rows.Row(static_cast<uint32_t>(i))) {
-            const std::span<const NodeId> targets = step_rel.Row(y);
-            merged->insert(merged->end(), targets.begin(), targets.end());
-          }
-          SortUnique(merged.get());
+          step_rel.UnionRowsInto(rows.Row(static_cast<uint32_t>(i)),
+                                 merged.get());
           next.SetRow(static_cast<uint32_t>(i), *merged);
         }
         rows = std::move(next);
@@ -494,12 +448,7 @@ Status MinContextEngine::EvalInnerNodeSet(AstId id, const NodeSet& x) {
     case ExprKind::kFilter: {
       XPE_RETURN_IF_ERROR(EvalInnerNodeSet(n.children[0], missing));
       EvalWorkspace::ScratchIds all_ids = ws_.AcquireIds();
-      for (NodeId origin : missing) {
-        const std::span<const NodeId> row =
-            rel_table(n.children[0]).Row(origin);
-        all_ids->insert(all_ids->end(), row.begin(), row.end());
-      }
-      SortUnique(all_ids.get());
+      rel_table(n.children[0]).UnionRowsInto(missing.ids(), all_ids.get());
       const NodeSet all_targets = NodeSet::FromSorted(*all_ids);
       const std::span<const AstId> preds = std::span(n.children).subspan(1);
       for (AstId pred : preds) {
@@ -523,22 +472,16 @@ Status MinContextEngine::EvalInnerNodeSet(AstId id, const NodeSet& x) {
       }
       const AstId arg = n.children[0];
       XPE_RETURN_IF_ERROR(EvalByCnodeOnly(arg, missing));
-      EvalWorkspace::ScratchIds targets = ws_.AcquireIds();
       if (Relev(arg) == 0) {
         XPE_ASSIGN_OR_RETURN(Value s,
                              EvalSingleContext(arg, missing.First(), 0, 0));
-        const std::vector<NodeId> derefed = doc_.DerefIds(s.ToString(doc_));
-        targets->assign(derefed.begin(), derefed.end());
-        SortUnique(targets.get());
-        for (NodeId origin : missing) StoreRelRow(id, origin, *targets);
+        const std::vector<NodeId> targets = doc_.DerefIds(s.ToString(doc_));
+        for (NodeId origin : missing) StoreRelRow(id, origin, targets);
         return Status::OK();
       }
       for (NodeId origin : missing) {
         XPE_ASSIGN_OR_RETURN(Value s, EvalSingleContext(arg, origin, 0, 0));
-        const std::vector<NodeId> derefed = doc_.DerefIds(s.ToString(doc_));
-        targets->assign(derefed.begin(), derefed.end());
-        SortUnique(targets.get());
-        StoreRelRow(id, origin, *targets);
+        StoreRelRow(id, origin, doc_.DerefIds(s.ToString(doc_)));
       }
       return Status::OK();
     }
@@ -558,10 +501,9 @@ StatusOr<NodeSet> MinContextEngine::EvalOutermostLocpath(AstId id,
       size_t step_begin = 0;
       if (n.has_head) {
         XPE_RETURN_IF_ERROR(EvalInnerNodeSet(n.children[0], x));
-        for (NodeId origin : x) {
-          current = current.Union(
-              NodeSet::FromSorted(rel_table(n.children[0]).Row(origin)));
-        }
+        EvalWorkspace::ScratchIds heads = ws_.AcquireIds();
+        rel_table(n.children[0]).UnionRowsInto(x.ids(), heads.get());
+        current = NodeSet::FromSorted(*heads);
         step_begin = 1;
       } else if (n.absolute) {
         current = NodeSet::Single(doc_.root());
@@ -577,53 +519,27 @@ StatusOr<NodeSet> MinContextEngine::EvalOutermostLocpath(AstId id,
         const bool is_last = s + 1 == k;
         // One budget unit per (step, frontier node), as in Core XPath.
         XPE_RETURN_IF_ERROR(sc_.Charge(current.size()));
-        if (step.axis == Axis::kId) {
-          NodeBitmap targets(doc_.size());
-          for (NodeId origin : current) {
-            for (NodeId t : doc_.IdAxisForward(origin)) targets.Set(t);
-          }
-          current = targets.ToNodeSet();
-          continue;
-        }
         // A predicate-free final step is where the early-terminating
         // modes stop: the image is emitted in document order, so its
         // `limit`-prefix is exactly the prefix of the full result.
         const uint64_t step_limit =
             is_last && step.children.empty() ? limit : kNoNodeLimit;
         NodeSet y_all = StepImage(n.children[s], current, step_limit);
-        if (step.children.empty()) {
-          current = std::move(y_all);
+        if (!AnyPositional(step.children)) {
+          XPE_ASSIGN_OR_RETURN(current,
+                               KeepSatisfying(step.children, std::move(y_all)));
           continue;
         }
-        bool positional = false;
-        for (AstId pred : step.children) {
-          positional = positional || DependsOnPosition(pred);
+        XPE_ASSIGN_OR_RETURN(const StepRows rows,
+                             PrepareRows(n.children[s], y_all));
+        EvalWorkspace::ScratchIds row = ws_.AcquireIds();
+        EvalWorkspace::ScratchIds result = ws_.AcquireIds();
+        for (NodeId origin : current) {
+          XPE_RETURN_IF_ERROR(SelectRow(rows, origin, row.get()));
+          result->insert(result->end(), row->begin(), row->end());
         }
-        for (AstId pred : step.children) {
-          XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, y_all));
-        }
-        if (!positional) {
-          NodeSet survivors = std::move(y_all);
-          for (AstId pred : step.children) {
-            NodeSet kept;
-            for (NodeId y : survivors) {
-              XPE_ASSIGN_OR_RETURN(Value v, EvalSingleContext(pred, y, 0, 0));
-              if (v.ToBoolean()) kept.PushBackOrdered(y);
-            }
-            survivors = std::move(kept);
-          }
-          current = std::move(survivors);
-        } else {
-          const StepRows rows = PrepareRows(n.children[s], y_all.ids());
-          EvalWorkspace::ScratchIds row = ws_.AcquireIds();
-          EvalWorkspace::ScratchIds result = ws_.AcquireIds();
-          for (NodeId origin : current) {
-            XPE_RETURN_IF_ERROR(SelectRow(rows, origin, row.get()));
-            result->insert(result->end(), row->begin(), row->end());
-          }
-          SortUnique(result.get());
-          current = NodeSet::FromSorted(*result);
-        }
+        SortUnique(result.get());
+        current = NodeSet::FromSorted(*result);
       }
       return current;
     }
@@ -658,11 +574,9 @@ StatusOr<NodeSet> MinContextEngine::EvalOutermostLocpath(AstId id,
     case ExprKind::kFunctionCall: {
       // id(s) at the outermost level; pair relations are always full.
       XPE_RETURN_IF_ERROR(EvalInnerNodeSet(id, x));
-      NodeSet out;
-      for (NodeId origin : x) {
-        out = out.Union(NodeSet::FromSorted(rel_table(id).Row(origin)));
-      }
-      return out;
+      EvalWorkspace::ScratchIds out = ws_.AcquireIds();
+      rel_table(id).UnionRowsInto(x.ids(), out.get());
+      return NodeSet::FromSorted(*out);
     }
     default:
       return StatusOr<NodeSet>(

@@ -92,6 +92,9 @@ class MinContextEngine {
   bool IsNodeSetTyped(xpath::AstId id) const {
     return tree_.node(id).type == xpath::ValueType::kNodeSet;
   }
+  /// Whether any of `preds` reads cp/cs, so that its step needs the
+  /// ⟨cp,cs⟩ loop of PrepareRows/SelectRow.
+  bool AnyPositional(std::span<const xpath::AstId> preds) const;
 
   // --- §6 procedures ------------------------------------------------------
   /// eval_outermost_locpath: set-valued evaluation of outermost paths.
@@ -112,6 +115,18 @@ class MinContextEngine {
   /// Requires EvalByCnodeOnly(id, {cn}) to have run.
   StatusOr<Value> EvalSingleContext(xpath::AstId id, xml::NodeId cn,
                                     uint32_t cp, uint32_t cs);
+
+  /// The value of the scalar operator node `id` (literal, function call,
+  /// binary or unary operator) at ⟨cn,cp,cs⟩ from its operands' values,
+  /// charging one context. Tabled operators pass cp = cs = 0.
+  StatusOr<Value> EvalOperator(xpath::AstId id, xml::NodeId cn, uint32_t cp,
+                               uint32_t cs);
+
+  /// The members of `nodes` that satisfy every one of `preds`, none of
+  /// which reads cp/cs: fills the predicates' cn-only tables over
+  /// `nodes`, then filters.
+  StatusOr<NodeSet> KeepSatisfying(std::span<const xpath::AstId> preds,
+                                   NodeSet nodes);
 
   /// eval_inner_locpath generalization: ensures rel_table rows exist for
   /// all origins in `x` for any node-set-typed expression (paths, unions,
@@ -141,7 +156,8 @@ class MinContextEngine {
                                   std::vector<xml::NodeId>* candidates);
 
   /// The image of a step with positional predicates, prepared once for
-  /// the SelectRow calls of all its origins.
+  /// the SelectRow calls of all its origins; PrepareRows also fills its
+  /// predicates' cn-only tables over the image.
   struct StepRows {
     xpath::AstId step_id;
     std::span<const xml::NodeId> image;
@@ -152,8 +168,7 @@ class MinContextEngine {
     std::optional<PositionSelector> rank_by;
     EvalWorkspace::ScratchIds by_parent;
   };
-  StepRows PrepareRows(xpath::AstId step_id,
-                       std::span<const xml::NodeId> image);
+  StatusOr<StepRows> PrepareRows(xpath::AstId step_id, const NodeSet& image);
 
   /// One origin's row of a step with positional predicates: its
   /// candidates in the image (AppendAxisRow, or the rank selection
@@ -177,8 +192,7 @@ class MinContextEngine {
   /// The nodes a comparison π RelOp s must test to seed Y: those passing
   /// the node test of π's last step (its postings when the index is on
   /// and the test is postings-backed), since PropagatePathBackwards
-  /// restricts Y to that test first. Every node when π has no step or
-  /// ends in the id axis.
+  /// restricts Y to that test first. Every node when π has no step.
   void SeedCandidates(xpath::AstId path_id, std::vector<xml::NodeId>* out);
 
   /// Evaluates a context-independent node-set expression once (the head

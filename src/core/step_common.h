@@ -112,8 +112,8 @@ NodeSet StepCandidates(const xml::Document& doc, Axis axis,
 /// loops pay no repeated name lookups; EvalInto then answers from the
 /// postings or falls back to the O(|D|) scan, partitioned across the
 /// shared executor pool when `sc.parallel` is active, and charges the
-/// call through StepContext::RecordStep. Does not handle the id "axis"
-/// — callers special-case Axis::kId before constructing a kernel.
+/// call through StepContext::RecordStep. Id steps, never
+/// index-eligible, take the scan path like any axis without postings.
 class StepKernel {
  public:
   /// `step` is the location-step node `step_id` names; profiler rows

@@ -263,14 +263,7 @@ class TopDownEvaluator {
     {
       EvalWorkspace::ScratchIds targets = ws_.AcquireIds();
       for (NodeId x : *x_all) {
-        if (step.axis == Axis::kId) {
-          ++sc_.stats().axis_evals;
-          const std::vector<NodeId>& fwd = doc_.IdAxisForward(x);
-          targets->assign(fwd.begin(), fwd.end());
-          SortUnique(targets.get());
-        } else {
-          kernel.EvalInto({&x, 1}, targets.get());
-        }
+        kernel.EvalInto({&x, 1}, targets.get());
         sc_.stats().AddCells(targets->size());
         s_rel.SetRow(x, *targets);
       }
@@ -308,12 +301,7 @@ class TopDownEvaluator {
     std::vector<NodeSet> out(xs.size());
     EvalWorkspace::ScratchIds merged = ws_.AcquireIds();
     for (size_t i = 0; i < xs.size(); ++i) {
-      merged->clear();
-      for (NodeId x : xs[i]) {
-        const std::span<const NodeId> targets = s_rel.Row(x);
-        merged->insert(merged->end(), targets.begin(), targets.end());
-      }
-      SortUnique(merged.get());
+      s_rel.UnionRowsInto(xs[i].ids(), merged.get());
       out[i] = NodeSet::FromSorted(*merged);
     }
     return out;

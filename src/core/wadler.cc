@@ -63,42 +63,15 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
     // and EvalOptions::budget was silently ignored.
     XPE_RETURN_IF_ERROR(sc_.Charge(current.size()));
 
-    if (step.axis == Axis::kId) {
-      ++sc_.stats().axis_evals;
-      current = EvalAxisInverse(doc_, Axis::kId, current);
-      continue;
-    }
-
     // Y' := members of the propagated set passing this step's node test
     // (a postings intersection when the index is on).
     std::vector<NodeId> tested_ids;
     RestrictByNodeTestInto(sc_, step, path.children[s], current.ids(),
                            &tested_ids);
     NodeSet tested(std::move(tested_ids));
-    if (step.children.empty()) {
-      ++sc_.stats().axis_evals;
-      current = EvalAxisInverse(doc_, step.axis, tested);
-      continue;
-    }
-
-    bool positional = false;
-    for (AstId pred : step.children) {
-      positional = positional || DependsOnPosition(pred);
-    }
-
-    if (!positional) {
-      for (AstId pred : step.children) {
-        XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, tested));
-      }
-      NodeSet survivors = std::move(tested);
-      for (AstId pred : step.children) {
-        NodeSet kept;
-        for (NodeId n : survivors) {
-          XPE_ASSIGN_OR_RETURN(Value v, EvalSingleContext(pred, n, 0, 0));
-          if (v.boolean()) kept.PushBackOrdered(n);
-        }
-        survivors = std::move(kept);
-      }
+    if (!AnyPositional(step.children)) {
+      XPE_ASSIGN_OR_RETURN(const NodeSet survivors,
+                           KeepSatisfying(step.children, std::move(tested)));
       ++sc_.stats().axis_evals;
       current = EvalAxisInverse(doc_, step.axis, survivors);
       continue;
@@ -111,11 +84,9 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
     ++sc_.stats().axis_evals;
     NodeSet origins = EvalAxisInverse(doc_, step.axis, tested);
     NodeSet universe = StepImage(path.children[s], origins);
-    for (AstId pred : step.children) {
-      XPE_RETURN_IF_ERROR(EvalByCnodeOnly(pred, universe));
-    }
+    XPE_ASSIGN_OR_RETURN(const StepRows rows,
+                         PrepareRows(path.children[s], universe));
     NodeSet kept_origins;
-    const StepRows rows = PrepareRows(path.children[s], universe.ids());
     EvalWorkspace::ScratchIds row = ws_.AcquireIds();
     for (NodeId origin : origins) {
       XPE_RETURN_IF_ERROR(SelectRow(rows, origin, row.get()));
@@ -153,7 +124,7 @@ void MinContextEngine::SeedCandidates(AstId path_id,
   const AstNode* last = path.children.size() > step_begin
                             ? &tree_.node(path.children.back())
                             : nullptr;
-  if (last == nullptr || last->axis == Axis::kId) {
+  if (last == nullptr) {
     out->resize(doc_.size());
     std::iota(out->begin(), out->end(), NodeId{0});
     return;

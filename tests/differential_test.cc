@@ -274,31 +274,62 @@ TEST_P(AuctionDifferentialTest, EnginesAgreeOnJoins) {
       "//open_auction[id(itemref)/reserve < current]",
   };
   for (const char* query : queries) {
-    xpath::CompiledQuery compiled = MustCompile(query);
-    EvalOptions naive_opts;
-    naive_opts.engine = EngineKind::kNaive;
-    naive_opts.budget = 50'000'000;
-    StatusOr<Value> expected =
-        Evaluate(compiled, doc, EvalContext{}, naive_opts);
-    ASSERT_TRUE(expected.ok()) << query;
-    for (EngineKind engine : {EngineKind::kTopDown, EngineKind::kMinContext,
-                              EngineKind::kOptMinContext,
-                              EngineKind::kBottomUp}) {
-      for (const IndexConfig& config : kIndexConfigs) {
-        const Cell cell = MakeCell(query, engine, config);
-        StatusOr<Value> actual =
-            Evaluate(compiled, doc, EvalContext{}, cell.options);
-        ASSERT_TRUE(actual.ok()) << cell.label;
-        EXPECT_TRUE(actual->StructurallyEquals(*expected))
-            << cell.label << " seed " << GetParam() << "\nexpected "
-            << expected->Repr() << "\nactual " << actual->Repr();
-      }
-    }
+    ExpectAgreesWithNaive(doc, query, GetParam());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AuctionDifferentialTest,
                          testing::Values(1, 7, 42, 1234));
+
+/// EvalOptions::ablate_outermost_sets (§3.1's second idea switched off:
+/// outermost paths evaluated as pair relations) changes the tables, not
+/// the results.
+TEST(AblationTest, AblatedEnginesAgreeWithNaive) {
+  const xml::Document doc = xml::MakeRandomDocument(30, {"a", "b", "c"}, 5);
+  for (const char* query : kQueryCorpus) {
+    const xpath::CompiledQuery compiled = MustCompile(query);
+    const EvalOptions naive_opts{.engine = EngineKind::kNaive,
+                                 .budget = 50'000'000};
+    const StatusOr<Value> expected =
+        Evaluate(compiled, doc, EvalContext{}, naive_opts);
+    ASSERT_TRUE(expected.ok()) << query;
+    for (EngineKind engine :
+         {EngineKind::kMinContext, EngineKind::kOptMinContext}) {
+      const EvalOptions options{.engine = engine,
+                                .ablate_outermost_sets = true};
+      const StatusOr<Value> actual =
+          Evaluate(compiled, doc, EvalContext{}, options);
+      ASSERT_TRUE(actual.ok()) << query << " on ablated "
+                               << EngineKindToString(engine);
+      EXPECT_TRUE(actual->StructurallyEquals(*expected))
+          << query << " on ablated " << EngineKindToString(engine)
+          << "\nexpected: " << expected->Repr()
+          << "\nactual:   " << actual->Repr();
+    }
+  }
+}
+
+/// The ablation's cost: on a chain, the outermost path's pair relation
+/// holds every (origin, target) pair where the full algorithm keeps one
+/// set, so its peak table cells grow quadratically rather than linearly.
+TEST(AblationTest, OutermostPairRelationsCostQuadraticCells) {
+  const xml::Document doc = xml::MakeChainDocument(64);
+  const xpath::CompiledQuery query = MustCompile(
+      "/descendant::*/descendant::*[position() > last()*0.5 or "
+      "self::* = 100]");
+  uint64_t peak[2] = {0, 0};
+  for (bool ablate : {false, true}) {
+    EvalStats stats;
+    const EvalOptions options{.engine = EngineKind::kMinContext,
+                              .stats = &stats,
+                              .use_index = false,
+                              .ablate_outermost_sets = ablate};
+    ASSERT_TRUE(Evaluate(query, doc, EvalContext{}, options).ok()) << ablate;
+    peak[ablate] = stats.cells_peak;
+  }
+  EXPECT_GT(peak[1], 4 * peak[0]) << "full " << peak[0] << ", ablated "
+                                  << peak[1];
+}
 
 /// The whole corpus once more, but through ONE reused Evaluator session
 /// per engine: pooled arenas and flat tables must be invisible in the

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/xml/generator.h"
 #include "tests/test_util.h"
 
@@ -261,12 +263,12 @@ TEST(CounterPinTest, AnalyticsFamilies) {
        "pruned_by_summary=0 budget_trips=0"},
       {"id(//open_auction[current > 80]/itemref)/name",
        "cells_allocated=201 cells_live=121 cells_peak=121 "
-       "contexts_evaluated=112 axis_evals=0 indexed_steps=4 nodes_visited=161 "
+       "contexts_evaluated=112 axis_evals=1 indexed_steps=4 nodes_visited=181 "
        "arena_bytes_peak=62976 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
-       "contexts_evaluated=1938 axis_evals=1 indexed_steps=4 "
-       "nodes_visited=101 arena_bytes_peak=0 count_fast_path=0 "
+       "contexts_evaluated=1938 axis_evals=2 indexed_steps=4 "
+       "nodes_visited=121 arena_bytes_peak=0 count_fast_path=0 "
        "pruned_by_summary=0 budget_trips=0"},
       {"//personref/ancestor::open_auction",
        "cells_allocated=0 cells_live=0 cells_peak=0 contexts_evaluated=99 "
@@ -337,6 +339,60 @@ TEST(CounterPinTest, RunningExample) {
        "budget_trips=0"},
   };
   ExpectPins(doc, kPins);
+}
+
+// --- Id-step accounting ------------------------------------------------------
+
+/// The id "axis" step §4 rewrites id(π) into (π/id), or kInvalidAstId.
+xpath::AstId IdStepOf(const xpath::CompiledQuery& plan) {
+  const xpath::QueryTree& tree = plan.tree();
+  for (xpath::AstId id = 0; id < tree.size(); ++id) {
+    const xpath::AstNode& n = tree.node(id);
+    if (n.kind == xpath::ExprKind::kStep && n.axis == Axis::kId) return id;
+  }
+  return xpath::kInvalidAstId;
+}
+
+// Every engine steps the id axis through the shared step kernel, like an
+// axis without postings: the step gets its own profiler row of scanned
+// calls, counts as an axis evaluation, and the rows still sum to
+// nodes_visited.
+TEST(IdStepAccountingTest, IdStepsAreScannedKernelSteps) {
+  const xml::Document doc = xml::MakeAuctionDocument(8, 1);
+  for (const char* query : {"id(//itemref)/name",
+                            "//open_auction[id(itemref)/reserve < current]"}) {
+    const xpath::CompiledQuery plan = MustCompile(query);
+    const xpath::AstId id_step = IdStepOf(plan);
+    ASSERT_NE(id_step, xpath::kInvalidAstId) << query;
+    for (EngineKind engine :
+         {EngineKind::kBottomUp, EngineKind::kTopDown, EngineKind::kMinContext,
+          EngineKind::kOptMinContext}) {
+      for (const test::IndexConfig& index : test::kIndexOffOn) {
+        test::Cell cell = test::MakeCell(query, engine, index);
+        EvalStats stats;
+        obs::QueryProfile profile;
+        cell.options.stats = &stats;
+        cell.options.profile = &profile;
+        ASSERT_TRUE(Evaluate(plan, doc, EvalContext{}, cell.options).ok())
+            << cell.label;
+        EXPECT_GE(stats.axis_evals, 1u) << cell.label;
+        EXPECT_EQ(profile.nodes_visited_total(), stats.nodes_visited)
+            << cell.label;
+        const std::vector<obs::QueryProfile::Step>& rows = profile.steps();
+        const auto row =
+            std::find_if(rows.begin(), rows.end(),
+                         [&](const obs::QueryProfile::Step& step) {
+                           return step.ast_id == id_step;
+                         });
+        if (row == rows.end()) {
+          ADD_FAILURE() << "no profiler row for the id step: " << cell.label;
+          continue;
+        }
+        EXPECT_GT(row->calls, 0u) << cell.label;
+        EXPECT_EQ(row->scanned_calls, row->calls) << cell.label;
+      }
+    }
+  }
 }
 
 // --- Budget trips ------------------------------------------------------------
