@@ -1,5 +1,8 @@
 #include "src/axes/arena.h"
 
+#include <algorithm>
+#include <new>
+
 namespace xpe {
 
 namespace {
@@ -16,16 +19,14 @@ void* EvalArena::Allocate(size_t bytes, size_t align) {
     const size_t at = AlignUp(cursor_, align);
     if (at + bytes <= blocks_[active_].capacity) {
       cursor_ = at + bytes;
-      bytes_used_ += bytes;
-      if (bytes_used_ > bytes_peak_) bytes_peak_ = bytes_used_;
+      CountUsed(bytes);
       return blocks_[active_].data.get() + at;
     }
   }
   NewBlock(bytes);
   // Block starts are max_align-aligned, so cursor 0 satisfies any align.
   cursor_ = bytes;
-  bytes_used_ += bytes;
-  if (bytes_used_ > bytes_peak_) bytes_peak_ = bytes_used_;
+  CountUsed(bytes);
   return blocks_[active_].data.get();
 }
 
@@ -40,9 +41,32 @@ bool EvalArena::TryExtend(const void* ptr, size_t old_bytes,
   if (block.data.get() + offset != ptr) return false;
   if (offset + new_bytes > block.capacity) return false;
   cursor_ = offset + new_bytes;
-  bytes_used_ += new_bytes - old_bytes;
-  if (bytes_used_ > bytes_peak_) bytes_peak_ = bytes_used_;
+  CountUsed(new_bytes - old_bytes);
   return true;
+}
+
+EvalArena::KeySlots EvalArena::AcquireKeySlots(uint32_t num_keys) {
+  if (slot_arrays_used_ == slot_arrays_.size()) slot_arrays_.emplace_back();
+  SlotArray& array = slot_arrays_[slot_arrays_used_++];
+  if (array.capacity < num_keys) {
+    // calloc, not new[]: the slots must start zeroed (stamp 0 matches no
+    // holder), and a large array then arrives as untouched zero pages.
+    auto* fresh =
+        static_cast<KeySlot*>(std::calloc(num_keys, sizeof(KeySlot)));
+    if (fresh == nullptr) throw std::bad_alloc();
+    bytes_reserved_ += (size_t{num_keys} - array.capacity) * sizeof(KeySlot);
+    ++block_allocations_;
+    array.slots.reset(fresh);
+    array.capacity = num_keys;
+    array.stamp = 0;
+  }
+  if (++array.stamp == 0) {
+    // Wrapped: a slot stamped 2^32 acquisitions ago would match again.
+    std::fill_n(array.slots.get(), array.capacity, KeySlot{});
+    array.stamp = 1;
+  }
+  CountUsed(size_t{num_keys} * sizeof(KeySlot));
+  return {array.slots.get(), array.stamp};
 }
 
 void EvalArena::NewBlock(size_t bytes) {
@@ -68,6 +92,7 @@ void EvalArena::NewBlock(size_t bytes) {
 void EvalArena::Reset() {
   active_ = 0;
   cursor_ = 0;
+  slot_arrays_used_ = 0;
   bytes_used_ = 0;
 }
 

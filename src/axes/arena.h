@@ -3,12 +3,22 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <type_traits>
 #include <vector>
 
 namespace xpe {
+
+/// One key of a NodeTable: where the key's row sits in the table's id
+/// buffer. It describes a row only while `stamp` equals the stamp of the
+/// table holding the slot array; any other stamp reads as "no row".
+struct KeySlot {
+  uint64_t offset = 0;
+  uint32_t size = 0;
+  uint32_t stamp = 0;
+};
 
 /// A monotonic bump allocator for evaluation-lifetime table storage.
 /// Allocations are never freed individually; Reset() recycles the whole
@@ -18,6 +28,16 @@ namespace xpe {
 /// context-value tables here (see NodeTable); short-lived inner-loop
 /// scratch belongs in the EvalWorkspace pools instead, which reclaim
 /// capacity immediately.
+///
+/// Besides the blocks, the arena keeps a pool of generation-stamped
+/// KeySlot arrays, the key columns of NodeTables. A table's key space is
+/// as large as the document, so writing it out on every table set-up
+/// would cost O(|D|) per table however few rows the table holds. A
+/// pooled array instead comes with a fresh stamp that none of its slots
+/// carries, which empties it in O(1). Stamp 0 is never handed out, fresh
+/// arrays start zeroed, and an array whose stamp wraps is zeroed again,
+/// so a slot read holds zeros or what a table wrote, and no stale slot
+/// ever matches.
 ///
 /// Not thread-safe: one arena belongs to one evaluation session.
 class EvalArena {
@@ -30,25 +50,37 @@ class EvalArena {
   /// of two ≤ alignof(std::max_align_t)). Valid until Reset().
   void* Allocate(size_t bytes, size_t align);
 
+  /// A pooled array of at least `num_keys` KeySlots and the stamp that
+  /// marks the slots its holder writes; no slot carries that stamp yet.
+  /// Valid until Reset(), which returns every array to the pool. O(1)
+  /// unless the pool must grow.
+  struct KeySlots {
+    KeySlot* slots;
+    uint32_t stamp;
+  };
+  KeySlots AcquireKeySlots(uint32_t num_keys);
+
   /// Grows the *most recent* allocation in place when it still sits at
   /// the bump cursor and the block has room; returns false otherwise
   /// (the caller then Allocates fresh storage and copies). This is what
   /// makes ArenaVector growth cheap in the common one-writer case.
   bool TryExtend(const void* ptr, size_t old_bytes, size_t new_bytes);
 
-  /// Recycles the arena: all previous allocations become invalid, all
-  /// blocks are retained for reuse. O(1).
+  /// Recycles the arena: all previous allocations and key-slot arrays
+  /// become invalid, all blocks and arrays are retained for reuse. O(1).
   void Reset();
 
-  /// Bytes handed out since the last Reset() (incl. alignment padding).
+  /// Bytes handed out since the last Reset() (incl. alignment padding),
+  /// counting `num_keys` slots for each acquired key-slot array.
   size_t bytes_used() const { return bytes_used_; }
-  /// Total capacity of all retained blocks.
+  /// Total capacity of all retained blocks and key-slot arrays.
   size_t bytes_reserved() const { return bytes_reserved_; }
   /// High-water mark of bytes_used() across the arena's whole lifetime:
   /// the real-memory footprint a reused session converges to.
   size_t bytes_peak() const { return bytes_peak_; }
-  /// Number of malloc-level block allocations ever performed. A reused
-  /// session's steady state keeps this constant across calls.
+  /// Number of malloc-level block and key-slot array allocations ever
+  /// performed. A reused session's steady state keeps this constant
+  /// across calls.
   uint64_t block_allocations() const { return block_allocations_; }
 
  private:
@@ -56,16 +88,30 @@ class EvalArena {
     std::unique_ptr<std::byte[]> data;
     size_t capacity = 0;
   };
+  struct FreeSlots {
+    void operator()(KeySlot* slots) const { std::free(slots); }
+  };
+  struct SlotArray {
+    std::unique_ptr<KeySlot[], FreeSlots> slots;
+    uint32_t capacity = 0;
+    uint32_t stamp = 0;  // the last stamp handed out with this array
+  };
 
   /// Makes `blocks_[active_]` (growing it if needed) able to serve
   /// `bytes` from a fresh cursor.
   void NewBlock(size_t bytes);
+  void CountUsed(size_t bytes) {
+    bytes_used_ += bytes;
+    if (bytes_used_ > bytes_peak_) bytes_peak_ = bytes_used_;
+  }
 
   static constexpr size_t kMinBlockBytes = 1 << 12;
 
   std::vector<Block> blocks_;
   size_t active_ = 0;  // block currently bump-allocated from
   size_t cursor_ = 0;  // offset of the next free byte in blocks_[active_]
+  std::vector<SlotArray> slot_arrays_;
+  size_t slot_arrays_used_ = 0;  // arrays acquired since the last Reset()
   size_t bytes_used_ = 0;
   size_t bytes_reserved_ = 0;
   size_t bytes_peak_ = 0;

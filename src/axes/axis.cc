@@ -68,47 +68,55 @@ bool IsAttr(const Document& doc, NodeId id) {
   return doc.kind(id) == NodeKind::kAttribute;
 }
 
-/// Marks [begin, end) intervals for every x in xs via a difference array,
-/// then collects covered ids. `include_attrs` keeps attribute nodes in the
-/// result (used by inverse sweeps, where covered ids are origins rather
-/// than axis results).
+/// The union of the subtree intervals [x, subtree_end(x)) of the sorted
+/// origins (from x + 1 unless `include_self`). Tree intervals are nested
+/// or disjoint, so one pass merges them: an origin inside the interval
+/// last emitted adds nothing. Costs the origins plus the covered ids, not
+/// |D|. `include_attrs` keeps attribute nodes in the result (used by
+/// inverse sweeps, where covered ids are origins rather than axis
+/// results).
 NodeSet IntervalSweep(const Document& doc, const NodeSet& xs,
                       bool include_self, bool include_attrs) {
-  std::vector<int32_t> diff(doc.size() + 1, 0);
-  for (NodeId x : xs) {
-    NodeId begin = include_self ? x : x + 1;
-    NodeId end = doc.subtree_end(x);
-    if (begin < end) {
-      ++diff[begin];
-      --diff[end];
-    }
-  }
   NodeSet out;
-  int32_t depth = 0;
-  for (NodeId id = 0; id < doc.size(); ++id) {
-    depth += diff[id];
-    if (depth > 0 && (include_attrs || !IsAttr(doc, id))) {
-      out.PushBackOrdered(id);
+  NodeId covered = 0;  // end of the interval last emitted
+  for (NodeId x : xs) {
+    if (x < covered) continue;
+    covered = doc.subtree_end(x);
+    for (NodeId id = include_self ? x : x + 1; id < covered; ++id) {
+      if (include_attrs || !IsAttr(doc, id)) out.PushBackOrdered(id);
     }
   }
   return out;
 }
 
-/// Ancestors of every x (proper); amortized O(|D|) by stopping upward
-/// walks at already-marked nodes.
+/// Ancestors of the sorted origins (and the origins themselves when
+/// `include_self`), in O(|xs| + result). Each upward walk stops at the
+/// first node the previous origin's walk already produced, which is an
+/// ancestor of the previous origin (or, with `include_self`, that origin
+/// itself). Every node a walk adds lies after the previous origin in
+/// document order, so the walks, each reversed, concatenate sorted.
 NodeSet AncestorsOf(const Document& doc, const NodeSet& xs,
                     bool include_self) {
-  NodeBitmap marked(doc.size());
-  NodeSet self_part;
+  NodeSet out;
+  std::vector<NodeId> walk;
+  NodeId prev = kInvalidNodeId;
+  auto produced = [&](NodeId p) {
+    return prev != kInvalidNodeId && (include_self ? p <= prev : p < prev) &&
+           prev < doc.subtree_end(p);
+  };
   for (NodeId x : xs) {
-    if (include_self) self_part.PushBackOrdered(x);
-    for (NodeId p = doc.parent(x); p != kInvalidNodeId; p = doc.parent(p)) {
-      if (marked.Test(p)) break;
-      marked.Set(p);
+    walk.clear();
+    if (include_self) walk.push_back(x);
+    for (NodeId p = doc.parent(x); p != kInvalidNodeId && !produced(p);
+         p = doc.parent(p)) {
+      walk.push_back(p);
     }
+    for (auto it = walk.rbegin(); it != walk.rend(); ++it) {
+      out.PushBackOrdered(*it);
+    }
+    prev = x;
   }
-  NodeSet ancestors = marked.ToNodeSet();
-  return include_self ? ancestors.Union(self_part) : ancestors;
+  return out;
 }
 
 NodeSet ChildrenOf(const Document& doc, const NodeSet& xs) {
@@ -122,13 +130,35 @@ NodeSet ChildrenOf(const Document& doc, const NodeSet& xs) {
   return out;
 }
 
-NodeSet ParentsOf(const Document& doc, const NodeSet& xs) {
-  NodeBitmap out(doc.size());
+/// The parents of the members of `xs` that pass `keep`, gathered and
+/// sorted: O(k log k) in the k kept members at worst, O(k) when the
+/// parents already come in document order, as siblings' parents do.
+template <typename Keep>
+NodeSet ParentsOf(const Document& doc, const NodeSet& xs, Keep keep) {
+  std::vector<NodeId> out;
   for (NodeId x : xs) {
-    NodeId p = doc.parent(x);
-    if (p != kInvalidNodeId) out.Set(p);
+    const NodeId p = doc.parent(x);
+    if (p == kInvalidNodeId || !keep(x)) continue;
+    if (out.empty() || out.back() != p) out.push_back(p);
   }
-  return out.ToNodeSet();
+  return NodeSet(std::move(out));
+}
+
+/// The children and attributes of the members of `ys`: parent⁻¹(Y).
+/// Gathered and sorted; the sort only reorders when members nest.
+NodeSet ChildrenAndAttributesOf(const Document& doc, const NodeSet& ys) {
+  std::vector<NodeId> out;
+  for (NodeId y : ys) {
+    // Only elements have attributes: the range is empty for other kinds.
+    for (NodeId a = doc.AttrBegin(y); a < doc.AttrEnd(y); ++a) {
+      out.push_back(a);
+    }
+    for (NodeId c = doc.first_child(y); c != kInvalidNodeId;
+         c = doc.next_sibling(c)) {
+      out.push_back(c);
+    }
+  }
+  return NodeSet(std::move(out));
 }
 
 NodeSet FollowingOf(const Document& doc, const NodeSet& xs) {
@@ -194,13 +224,15 @@ NodeSet AttributesOf(const Document& doc, const NodeSet& xs) {
   return out;
 }
 
-/// Gathers and sorts the targets, so a per-origin step costs its targets,
-/// not |D|.
-NodeSet IdTargetsOf(const Document& doc, const NodeSet& xs) {
+/// The id-axis lists of the members of `xs` (IdAxisForward, or
+/// IdAxisInverse when `inverse`), gathered and sorted, so a step costs
+/// the lists it reads, not |D|.
+NodeSet IdListsOf(const Document& doc, const NodeSet& xs, bool inverse) {
   std::vector<NodeId> out;
   for (NodeId x : xs) {
-    const std::vector<NodeId>& targets = doc.IdAxisForward(x);
-    out.insert(out.end(), targets.begin(), targets.end());
+    const std::vector<NodeId>& ids =
+        inverse ? doc.IdAxisInverse(x) : doc.IdAxisForward(x);
+    out.insert(out.end(), ids.begin(), ids.end());
   }
   return NodeSet(std::move(out));
 }
@@ -222,7 +254,7 @@ NodeSet EvalAxis(const Document& doc, Axis axis, const NodeSet& x) {
     case Axis::kChild:
       return ChildrenOf(doc, x);
     case Axis::kParent:
-      return ParentsOf(doc, x);
+      return ParentsOf(doc, x, [](NodeId) { return true; });
     case Axis::kDescendant:
       return IntervalSweep(doc, x, /*include_self=*/false,
                            /*include_attrs=*/false);
@@ -247,7 +279,7 @@ NodeSet EvalAxis(const Document& doc, Axis axis, const NodeSet& x) {
     case Axis::kAttribute:
       return AttributesOf(doc, x);
     case Axis::kId:
-      return IdTargetsOf(doc, x);
+      return IdListsOf(doc, x, /*inverse=*/false);
   }
   return {};
 }
@@ -258,17 +290,10 @@ NodeSet EvalAxisInverse(const Document& doc, Axis axis, const NodeSet& y) {
       return y;
     case Axis::kChild:
       // x has a child in Y  <=>  x is the parent of a non-attribute member.
-      return ParentsOf(doc, NonAttributes(doc, y));
-    case Axis::kParent: {
+      return ParentsOf(doc, y, [&](NodeId n) { return !IsAttr(doc, n); });
+    case Axis::kParent:
       // parent(x) ∈ Y: children and attributes of Y's members.
-      NodeBitmap in_y(doc.size(), y);
-      NodeSet out;
-      for (NodeId x = 0; x < doc.size(); ++x) {
-        NodeId p = doc.parent(x);
-        if (p != kInvalidNodeId && in_y.Test(p)) out.PushBackOrdered(x);
-      }
-      return out;
-    }
+      return ChildrenAndAttributesOf(doc, y);
     case Axis::kDescendant:
       return AncestorsOf(doc, NonAttributes(doc, y), /*include_self=*/false);
     case Axis::kAncestor:
@@ -289,7 +314,7 @@ NodeSet EvalAxisInverse(const Document& doc, Axis axis, const NodeSet& y) {
       if (targets.empty()) return {};
       NodeId max_y = targets[targets.size() - 1];
       NodeSet out;
-      for (NodeId x = 0; x < doc.size(); ++x) {
+      for (NodeId x = 0; x < max_y; ++x) {
         if (doc.subtree_end(x) <= max_y) out.PushBackOrdered(x);
       }
       return out;
@@ -311,20 +336,11 @@ NodeSet EvalAxisInverse(const Document& doc, Axis axis, const NodeSet& y) {
       return PrecedingSiblingsOf(doc, y);
     case Axis::kPrecedingSibling:
       return FollowingSiblingsOf(doc, y);
-    case Axis::kAttribute: {
-      NodeBitmap owners(doc.size());
-      for (NodeId a : y) {
-        if (IsAttr(doc, a)) owners.Set(doc.parent(a));
-      }
-      return owners.ToNodeSet();
-    }
-    case Axis::kId: {
-      NodeBitmap out(doc.size());
-      for (NodeId t : y) {
-        for (NodeId x : doc.IdAxisInverse(t)) out.Set(x);
-      }
-      return out.ToNodeSet();
-    }
+    case Axis::kAttribute:
+      // The owners of the attribute members (already in document order).
+      return ParentsOf(doc, y, [&](NodeId n) { return IsAttr(doc, n); });
+    case Axis::kId:
+      return IdListsOf(doc, y, /*inverse=*/true);
   }
   return {};
 }

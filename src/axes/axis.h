@@ -46,11 +46,21 @@ std::optional<Axis> AxisFromString(std::string_view name);
 bool AxisIsReverse(Axis axis);
 
 /// The paper's χ(X) of Definition 1, computed in O(|D| + |X|) (the lemma
-/// from [11] restated in §2.1). Result is in document order.
+/// from [11] restated in §2.1). Result is in document order. Most axes
+/// cost only what X reaches: self, parent, ancestor(-or-self),
+/// descendant(-or-self), attribute and id take O(|X| + |χ(X)|), plus a
+/// sort of the gathered parents or id targets when they arrive out of
+/// document order; following and preceding scan only the id range their
+/// result lies in. Child and the sibling axes scan the document.
 NodeSet EvalAxis(const xml::Document& doc, Axis axis, const NodeSet& x);
 
-/// The paper's χ⁻¹(Y) = {x | χ({x}) ∩ Y ≠ ∅}, also O(|D| + |Y|). This is
-/// the engine of §4's backward propagation (propagate_path_backwards).
+/// The paper's χ⁻¹(Y) = {x | χ({x}) ∩ Y ≠ ∅}, within O(|D| + |Y|). This
+/// is the engine of §4's backward propagation (propagate_path_backwards),
+/// which therefore costs what it propagates: the inverses of child,
+/// parent, attribute, id, ancestor(-or-self) and descendant(-or-self)
+/// gather and sort only what Y reaches, with no |D| bitmap or scan;
+/// following and preceding scan the id range their result lies in, and
+/// only the sibling inverses scan the document.
 NodeSet EvalAxisInverse(const xml::Document& doc, Axis axis,
                         const NodeSet& y);
 

@@ -83,8 +83,10 @@ void DifferenceInto(std::span<const xml::NodeId> a,
 /// Sorts and deduplicates in place (for buffers filled out of order).
 void SortUnique(std::vector<xml::NodeId>* ids);
 
-/// A dense membership bitmap over one document's nodes. The O(|D|) axis
-/// algorithms of axis.h use it for their single-pass marking phases.
+/// A dense membership bitmap over one document's nodes, O(|D|) to build
+/// and to convert. Only the axis algorithms of axis.h that scan the whole
+/// document anyway (forward child, the sibling axes) use it for their
+/// marking passes; the others gather only what their input reaches.
 class NodeBitmap {
  public:
   explicit NodeBitmap(xml::NodeId universe_size)

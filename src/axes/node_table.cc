@@ -5,10 +5,9 @@ namespace xpe {
 void NodeTable::Reset(EvalArena* arena, uint32_t num_keys) {
   ids_.Reset(arena);
   num_keys_ = num_keys;
-  rows_ = static_cast<RowRef*>(
-      arena->Allocate(sizeof(RowRef) * num_keys, alignof(RowRef)));
-  for (uint32_t k = 0; k < num_keys; ++k) rows_[k] = RowRef{};
-  row_open_ = false;
+  const EvalArena::KeySlots keys = arena->AcquireKeySlots(num_keys);
+  slots_ = keys.slots;
+  stamp_ = keys.stamp;
   cells_ = 0;
   bound_ = true;
 }
@@ -16,16 +15,16 @@ void NodeTable::Reset(EvalArena* arena, uint32_t num_keys) {
 void NodeTable::BeginRow(uint32_t key) {
   open_key_ = key;
   open_begin_ = ids_.size();
-  row_open_ = true;
 }
 
 void NodeTable::CommitRow() {
-  RowRef& row = rows_[open_key_];
-  if (row.size > 0) cells_ -= static_cast<uint64_t>(row.size);
-  row.offset = open_begin_;
-  row.size = static_cast<ptrdiff_t>(ids_.size() - open_begin_);
-  cells_ += static_cast<uint64_t>(row.size);
-  row_open_ = false;
+  KeySlot& slot = slots_[open_key_];
+  if (slot.stamp == stamp_) cells_ -= slot.size;
+  slot.offset = open_begin_;
+  // A sorted duplicate-free row of NodeIds: its length fits a NodeId.
+  slot.size = static_cast<uint32_t>(ids_.size() - open_begin_);
+  slot.stamp = stamp_;
+  cells_ += slot.size;
 }
 
 void NodeTable::SetRow(uint32_t key, std::span<const xml::NodeId> ids) {
@@ -47,14 +46,12 @@ void NodeTable::UnionRowsInto(std::span<const xml::NodeId> keys,
     const std::span<const xml::NodeId> row = Row(key);
     out->insert(out->end(), row.begin(), row.end());
   }
-  SortUnique(out);
+  if (keys.size() > 1) SortUnique(out);  // one row is sorted already
 }
 
 NodeSet NodeTable::RowAsNodeSet(uint32_t key) const {
-  std::span<const xml::NodeId> row = Row(key);
-  // Rows are sorted and duplicate-free by construction, so the NodeSet
-  // constructor's sort pass is a no-op scan.
-  return NodeSet(std::vector<xml::NodeId>(row.begin(), row.end()));
+  // Rows are sorted and duplicate-free by construction.
+  return NodeSet::FromSorted(Row(key));
 }
 
 }  // namespace xpe

@@ -26,46 +26,49 @@ namespace xpe {
 ///
 /// All storage comes from the bound EvalArena: the table dies (without
 /// destructors) when the arena is Reset, and a reused evaluator session
-/// re-serves it from retained blocks with zero heap allocations.
+/// re-serves it from retained blocks with zero heap allocations. The key
+/// column is one of the arena's pooled KeySlot arrays, emptied by a fresh
+/// stamp rather than written out, so Reset() costs O(1) however many keys
+/// the table has and a table costs the rows it holds.
 class NodeTable {
  public:
   NodeTable() = default;
 
   // Move-only (like ArenaVector): copies would share the id buffer and
-  // row array, and a SetRow through either alias would corrupt the
+  // key slots, and a SetRow through either alias would corrupt the
   // other. Engines hand tables across generations with std::move.
   NodeTable(const NodeTable&) = delete;
   NodeTable& operator=(const NodeTable&) = delete;
   NodeTable(NodeTable&& other) noexcept { *this = std::move(other); }
   NodeTable& operator=(NodeTable&& other) noexcept {
     ids_ = std::move(other.ids_);
-    rows_ = other.rows_;
+    slots_ = other.slots_;
+    stamp_ = other.stamp_;
     num_keys_ = other.num_keys_;
     open_key_ = other.open_key_;
     open_begin_ = other.open_begin_;
-    row_open_ = other.row_open_;
     bound_ = other.bound_;
     cells_ = other.cells_;
-    other.rows_ = nullptr;
+    other.slots_ = nullptr;
     other.num_keys_ = 0;
     other.bound_ = false;
     other.cells_ = 0;
     return *this;
   }
 
-  /// (Re)binds to `arena` with `num_keys` keys and no rows.
+  /// (Re)binds to `arena` with `num_keys` keys and no rows. O(1).
   void Reset(EvalArena* arena, uint32_t num_keys);
 
   /// True once Reset() has been called (tables are created lazily).
   bool initialized() const { return bound_; }
   uint32_t num_keys() const { return num_keys_; }
 
-  bool has_row(uint32_t key) const { return rows_[key].size >= 0; }
+  bool has_row(uint32_t key) const { return slots_[key].stamp == stamp_; }
   /// The committed row for `key`; empty span when absent.
   std::span<const xml::NodeId> Row(uint32_t key) const {
-    const RowRef& row = rows_[key];
-    if (row.size <= 0) return {};
-    return {ids_.data() + row.offset, static_cast<size_t>(row.size)};
+    const KeySlot& slot = slots_[key];
+    if (slot.stamp != stamp_ || slot.size == 0) return {};
+    return {ids_.data() + slot.offset, slot.size};
   }
 
   /// Row building. BeginRow/PushOrdered/CommitRow stream one key's ids;
@@ -82,7 +85,8 @@ class NodeTable {
     SetRow(key, std::span<const xml::NodeId>(set.ids()));
   }
 
-  /// Copies every committed row of `other` (same num_keys assumed).
+  /// Copies every committed row of `other` (same num_keys assumed);
+  /// O(num_keys).
   void CopyRows(const NodeTable& other);
 
   /// The union of the rows of `keys`, sorted and duplicate-free, into a
@@ -98,17 +102,12 @@ class NodeTable {
   NodeSet RowAsNodeSet(uint32_t key) const;
 
  private:
-  struct RowRef {
-    size_t offset = 0;
-    ptrdiff_t size = -1;  // -1: no row committed for this key
-  };
-
   ArenaVector<xml::NodeId> ids_;
-  RowRef* rows_ = nullptr;
+  KeySlot* slots_ = nullptr;
+  uint32_t stamp_ = 0;  // the stamp of the slots holding this table's rows
   uint32_t num_keys_ = 0;
   uint32_t open_key_ = 0;
   size_t open_begin_ = 0;
-  bool row_open_ = false;
   bool bound_ = false;
   uint64_t cells_ = 0;
 };

@@ -1,7 +1,9 @@
 // The linear-time Core XPath engine ([11], recalled as Definition 12 /
-// Theorem 13). Every operation is a constant number of O(|D|) set passes
-// per query node: axis images for the steps, inverse-axis backward
-// propagation for path predicates, and set algebra for and/or/not.
+// Theorem 13). Every operation is a constant number of set passes per
+// query node, none over O(|D|): axis images for the steps, inverse-axis
+// backward propagation for path predicates, and set algebra for and/or/
+// not. Most axis passes, the inverse ones of the backward propagation
+// included, cost only what their input reaches (see axis.h).
 //
 // All intermediate sets live in pooled EvalWorkspace scratch buffers, so
 // a reused evaluator session runs the per-step loops without heap
@@ -127,8 +129,10 @@ class CoreXPathEvaluator {
   }
 
   /// {x | π from x is non-empty}: backward propagation through inverse
-  /// axes, O(|D|) per step (the node-test restriction drops to a postings
-  /// intersection when the index is on). Written into `out`.
+  /// axes, written into `out`. It starts from all of dom, so the last
+  /// step's node-test restriction reads |D| ids (a postings intersection
+  /// when the index is on); each inverse-axis pass then costs what it
+  /// propagates, not |D| (see EvalAxisInverse).
   Status PathOrigins(AstId path_id, std::vector<NodeId>* out) {
     const AstNode& path = tree_.node(path_id);
     EvalWorkspace::ScratchIds current = ws_.AcquireIds();

@@ -27,9 +27,10 @@ StatusOr<Value> EvaluateWith(EvalWorkspace& ws,
 /// session workspace their context-value tables and scratch buffers
 /// live in.
 
-/// The exponential-time baseline (DESIGN.md S12): direct recursion over
-/// the denotational semantics, re-evaluating every subexpression for
-/// every context it is reached under, like the engines measured in [11].
+/// The exponential-time baseline (docs/architecture.md, "Paper notes"):
+/// direct recursion over the denotational semantics, re-evaluating every
+/// subexpression for every context it is reached under, like the engines
+/// measured in [11].
 /// Ignores EvalOptions::use_index — it is the index-free specification —
 /// and takes no workspace: its only state is the call stack.
 StatusOr<Value> EvalNaive(const xpath::CompiledQuery& query,

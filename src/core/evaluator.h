@@ -12,15 +12,21 @@
 namespace xpe {
 
 /// Per-session scratch memory shared by all polynomial engines: a
-/// monotonic EvalArena for evaluation-lifetime tables (NodeTable rows,
-/// see node_table.h) plus pools of reusable std::vector buffers for
-/// inner-loop scratch whose capacity must be reclaimed immediately.
+/// monotonic EvalArena for evaluation-lifetime tables (NodeTable rows and
+/// key slots, see node_table.h) plus pools of reusable std::vector
+/// buffers for inner-loop scratch whose capacity must be reclaimed
+/// immediately.
 ///
 /// Lifetime rules:
 ///  - Arena allocations live until the next BeginEvaluation(); engines
 ///    may therefore hand arena-backed spans around freely within one
 ///    evaluation but must copy anything that escapes it (NodeSet/Value
 ///    results are such copies).
+///  - A NodeTable's key-slot array is one of the arena's pooled arrays:
+///    it is the table's until the next BeginEvaluation(), which returns
+///    it to the pool with its contents. The next table to take it gets a
+///    fresh stamp, under which every slot an earlier table wrote reads
+///    as "no row", so the session keeps the arrays and never clears them.
 ///  - Scratch handles return their buffer to the pool on destruction;
 ///    the buffer's *capacity* is retained, so steady-state acquisition
 ///    performs no heap allocation. Handles must not outlive the

@@ -66,10 +66,8 @@ StatusOr<Value> MinContextEngine::EvalSingleContext(AstId id, NodeId cn,
   // Depends on cp/cs: evaluated per context, never tabled (§3.1).
   if (DependsOnPosition(id)) return EvalOperator(id, cn, cp, cs);
   if (IsNodeSetTyped(id)) {
-    if (!rel_table(id).has_row(cn)) {
-      XPE_RETURN_IF_ERROR(EvalInnerNodeSet(id, NodeSet::Single(cn)));
-    }
-    return Value::Nodes(rel_table(id).RowAsNodeSet(cn));
+    XPE_ASSIGN_OR_RETURN(const std::span<const NodeId> row, TabledRow(id, cn));
+    return Value::Nodes(NodeSet::FromSorted(row));
   }
   ScalarTable& t = scalar_table(id);
   if (t.bottom_up_done) return Value::Boolean(t.bottom_up[cn] != 0);
@@ -83,6 +81,14 @@ StatusOr<Value> MinContextEngine::EvalSingleContext(AstId id, NodeId cn,
     XPE_RETURN_IF_ERROR(EvalByCnodeOnly(id, NodeSet::Single(cn)));
   }
   return *t.Find(cn);
+}
+
+StatusOr<std::span<const NodeId>> MinContextEngine::TabledRow(AstId id,
+                                                              NodeId cn) {
+  if (!rel_table(id).has_row(cn)) {
+    XPE_RETURN_IF_ERROR(EvalInnerNodeSet(id, NodeSet::Single(cn)));
+  }
+  return rel_table(id).Row(cn);
 }
 
 StatusOr<Value> MinContextEngine::EvalOperator(AstId id, NodeId cn,
@@ -100,6 +106,13 @@ StatusOr<Value> MinContextEngine::EvalOperator(AstId id, NodeId cn,
       }
       if (n.fn == FunctionId::kLast) {
         return Value::Number(static_cast<double>(cs));
+      }
+      // count(π) of a tabled operand is its row's length: no boxed copy.
+      if (n.fn == FunctionId::kCount && IsNodeSetTyped(n.children[0]) &&
+          !DependsOnPosition(n.children[0])) {
+        XPE_ASSIGN_OR_RETURN(const std::span<const NodeId> row,
+                             TabledRow(n.children[0], cn));
+        return Value::Number(static_cast<double>(row.size()));
       }
       std::vector<Value> args;
       args.reserve(n.children.size());

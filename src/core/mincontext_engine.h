@@ -116,6 +116,12 @@ class MinContextEngine {
   StatusOr<Value> EvalSingleContext(xpath::AstId id, xml::NodeId cn,
                                     uint32_t cp, uint32_t cs);
 
+  /// The row of the node-set expression `id`, which reads no cp/cs, at
+  /// context node `cn`, computing it first when it is missing. Valid
+  /// until the table's next row is committed.
+  StatusOr<std::span<const xml::NodeId>> TabledRow(xpath::AstId id,
+                                                   xml::NodeId cn);
+
   /// The value of the scalar operator node `id` (literal, function call,
   /// binary or unary operator) at ⟨cn,cp,cs⟩ from its operands' values,
   /// charging one context. Tabled operators pass cp = cs = 0.

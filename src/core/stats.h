@@ -6,10 +6,11 @@
 
 namespace xpe {
 
-/// Instrumentation counters shared by all engines. The space experiments
-/// (DESIGN.md E5) read peak_live_cells — wall-clock timing cannot observe
-/// the paper's space bounds, so engines report their context-value-table
-/// footprint here. Counters are plain fields: engines are single-threaded.
+/// Instrumentation counters shared by all engines. The space measurements
+/// (docs/architecture.md, "Paper notes") read cells_peak — wall-clock
+/// timing cannot observe the paper's space bounds, so engines report their
+/// context-value-table footprint here. Counters are plain fields: engines
+/// are single-threaded.
 struct EvalStats {
   /// Total context-value-table cells ever written (scalar rows and
   /// relation pairs both count as one cell).

@@ -79,8 +79,8 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
 
     // Positional predicates: iterate over the candidate origins X' and
     // evaluate positions over each origin's *full* candidate list (see
-    // DESIGN.md on the §6 position-semantics erratum), then keep origins
-    // whose surviving candidates intersect the propagated set.
+    // the §6 note under "Paper notes" in docs/architecture.md), then keep
+    // origins whose surviving candidates intersect the propagated set.
     ++sc_.stats().axis_evals;
     NodeSet origins = EvalAxisInverse(doc_, step.axis, tested);
     NodeSet universe = StepImage(path.children[s], origins);

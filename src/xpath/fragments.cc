@@ -87,7 +87,8 @@ bool Wadler(QueryTree* tree, AstId id);
 /// Restriction 1's banned document-data extractors. The conversions
 /// string()/number() that Normalize inserts around *constant* arguments
 /// are permitted: R1 exists to keep scalar sizes data-independent, and
-/// constants trivially satisfy that (documented refinement, DESIGN.md).
+/// constants trivially satisfy that (the Restriction 1 refinement under
+/// "Paper notes" in docs/architecture.md).
 bool BannedByR1(QueryTree* tree, const AstNode& n) {
   switch (n.fn) {
     case FunctionId::kLocalName:

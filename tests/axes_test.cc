@@ -274,6 +274,66 @@ TEST_P(AxisPropertyTest, PartitionOfDocument) {
   }
 }
 
+/// Node sets to step from and back to: random subsets (attributes among
+/// them), nested ancestor/descendant pairs, a single node and the whole
+/// document. Multi-member sets make the gathering inverses meet parents
+/// and targets out of document order, which they must sort and dedup.
+std::vector<NodeSet> SampleSets(const Document& doc, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto any_node = [&] { return static_cast<NodeId>(rng() % doc.size()); };
+  std::vector<NodeSet> sets;
+  for (int i = 0; i < 3; ++i) {
+    NodeSet subset;
+    for (NodeId n = 0; n < doc.size(); ++n) {
+      if (rng() % 4 == 0) subset.PushBackOrdered(n);
+    }
+    sets.push_back(std::move(subset));
+  }
+  std::vector<NodeId> nested;
+  for (int i = 0; i < 6; ++i) {
+    NodeId n = any_node();
+    nested.push_back(n);
+    for (uint64_t up = rng() % 4; up > 0; --up) {
+      if (doc.parent(n) != xml::kInvalidNodeId) n = doc.parent(n);
+    }
+    nested.push_back(n);
+  }
+  sets.push_back(NodeSet(std::move(nested)));
+  sets.push_back(NodeSet::Single(any_node()));
+  sets.push_back(NodeSet::Universe(doc.size()));
+  return sets;
+}
+
+/// EvalAxis(Y) = ∪ over x ∈ Y of χ({x}), and EvalAxisInverse(Y) =
+/// {x | χ({x}) ∩ Y ≠ ∅} (Definition 1), for every axis and sampled Y.
+void ExpectAxesMatchDefinition1(const Document& doc, uint64_t seed) {
+  const std::vector<NodeSet> sets = SampleSets(doc, seed);
+  for (int i = 0; i < kNumAxes; ++i) {
+    const Axis axis = static_cast<Axis>(i);
+    std::vector<NodeSet> from(doc.size());
+    for (NodeId x = 0; x < doc.size(); ++x) {
+      from[x] = AxisFromNode(doc, axis, x);
+    }
+    for (size_t k = 0; k < sets.size(); ++k) {
+      const NodeSet& y = sets[k];
+      std::vector<uint8_t> reached(doc.size(), 0);
+      for (NodeId x : y) {
+        for (NodeId t : from[x]) reached[t] = 1;
+      }
+      NodeSet image;
+      NodeSet inverse;
+      for (NodeId n = 0; n < doc.size(); ++n) {
+        if (reached[n] != 0) image.PushBackOrdered(n);
+        if (!from[n].Intersect(y).empty()) inverse.PushBackOrdered(n);
+      }
+      EXPECT_EQ(EvalAxis(doc, axis, y), image)
+          << AxisToString(axis) << " set " << k << " seed " << seed;
+      EXPECT_EQ(EvalAxisInverse(doc, axis, y), inverse)
+          << AxisToString(axis) << " inverse, set " << k << " seed " << seed;
+    }
+  }
+}
+
 TEST_P(AxisPropertyTest, InverseMatchesDefinition1) {
   // χ⁻¹(Y) = {x | χ({x}) ∩ Y ≠ ∅}, checked exhaustively per axis.
   const NodeSet y({doc_.size() / 3, doc_.size() / 2,
@@ -289,6 +349,11 @@ TEST_P(AxisPropertyTest, InverseMatchesDefinition1) {
     }
     EXPECT_EQ(fast, slow) << AxisToString(axis);
   }
+  ExpectAxesMatchDefinition1(doc_, GetParam());
+  // The auction document carries ID/IDREFS, so the id axis and its
+  // inverse reach real targets.
+  const Document auction = xml::MakeAuctionDocument(120, GetParam());
+  ExpectAxesMatchDefinition1(auction, GetParam());
 }
 
 TEST_P(AxisPropertyTest, RelatesAgreesWithAxisFunction) {

@@ -331,7 +331,7 @@ TEST(CounterPinTest, RunningExample) {
        "self::* = 100]",
        "cells_allocated=182 cells_live=110 cells_peak=110 "
        "contexts_evaluated=572 axis_evals=0 indexed_steps=3 nodes_visited=183 "
-       "arena_bytes_peak=5440 count_fast_path=0 pruned_by_summary=0 "
+       "arena_bytes_peak=5312 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=100 cells_live=100 cells_peak=100 "
        "contexts_evaluated=606 axis_evals=1 indexed_steps=3 nodes_visited=127 "

@@ -86,6 +86,55 @@ TEST(NodeTableTest, RowsInAnyKeyOrder) {
   EXPECT_EQ(table.cells(), 3u);
 }
 
+/// A table's key slots come from arrays the arena pools across Reset():
+/// whichever table takes an array next, of fewer or more keys, sees no
+/// row an earlier holder committed, and two tables of one generation
+/// never share one.
+TEST(NodeTableTest, PooledKeySlotsHoldNoStaleRows) {
+  EvalArena arena;
+  const NodeId row[] = {1, 2};
+  auto expect_empty = [](const NodeTable& table, const char* label) {
+    EXPECT_EQ(table.cells(), 0u) << label;
+    for (uint32_t k = 0; k < table.num_keys(); ++k) {
+      EXPECT_FALSE(table.has_row(k)) << label << " key " << k;
+      EXPECT_TRUE(table.Row(k).empty()) << label << " key " << k;
+    }
+  };
+  NodeTable first;
+  first.Reset(&arena, 64);
+  for (uint32_t k = 0; k < 64; ++k) first.SetRow(k, row);
+  NodeTable sibling;
+  sibling.Reset(&arena, 64);
+  expect_empty(sibling, "same generation");
+  const uint64_t blocks = arena.block_allocations();
+  const size_t reserved = arena.bytes_reserved();
+
+  // Fewer keys: the pooled array is reused, under a fresh stamp.
+  arena.Reset();
+  NodeTable smaller;
+  smaller.Reset(&arena, 16);
+  EXPECT_EQ(arena.block_allocations(), blocks);
+  EXPECT_EQ(arena.bytes_used(), 16 * sizeof(KeySlot));
+  expect_empty(smaller, "smaller");
+  for (uint32_t k = 0; k < 16; k += 2) smaller.SetRow(k, row);
+
+  // More keys: the array grows, and the growth is counted like a block.
+  arena.Reset();
+  NodeTable larger;
+  larger.Reset(&arena, 256);
+  EXPECT_EQ(arena.block_allocations(), blocks + 1);
+  EXPECT_EQ(arena.bytes_reserved(), reserved + 192 * sizeof(KeySlot));
+  expect_empty(larger, "larger");
+  for (uint32_t k = 0; k < 256; ++k) larger.SetRow(k, row);
+
+  // Back to the first size: no allocation, still no stale row.
+  arena.Reset();
+  NodeTable again;
+  again.Reset(&arena, 64);
+  EXPECT_EQ(arena.block_allocations(), blocks + 1);
+  expect_empty(again, "again");
+}
+
 /// Back-to-back evaluations of different queries, documents, engines and
 /// contexts on ONE session must match the one-shot wrapper bit-for-bit.
 TEST(EvaluatorTest, ReuseAcrossQueriesAndDocumentsMatchesOneShot) {
@@ -180,6 +229,37 @@ TEST(EvaluatorTest, SteadyStateAllocatesNoNewArenaBlocks) {
     EXPECT_EQ(session.arena_bytes_reserved(), reserved)
         << EngineKindToString(engine);
   }
+}
+
+/// The same holds for the analytics shapes whose tables are all key
+/// space: an aggregate predicate (count of an inner path per origin) and
+/// a scalar over two absolute paths. Their key-slot arrays are counted in
+/// the session's reserved bytes and block allocations, and a warmed
+/// session re-running both grows neither.
+TEST(EvaluatorTest, WarmSessionReusesKeySlotArrays) {
+  const xml::Document doc = xml::MakeAuctionDocument(120, 1);
+  const xpath::CompiledQuery queries[] = {
+      MustCompile("/site/open_auctions/open_auction[count(bidder) > 2]"),
+      MustCompile("sum(//current) div count(//open_auction)"),
+  };
+  Evaluator session;
+  ASSERT_TRUE(session.Evaluate(queries[0], doc).ok());
+  // The inner path's relation table and its step relation: |D| keys each.
+  EXPECT_GE(session.arena_bytes_reserved(), 2 * doc.size() * sizeof(KeySlot));
+  for (int warmup = 0; warmup < 2; ++warmup) {
+    for (const xpath::CompiledQuery& query : queries) {
+      ASSERT_TRUE(session.Evaluate(query, doc).ok());
+    }
+  }
+  const uint64_t blocks = session.arena_block_allocations();
+  const size_t reserved = session.arena_bytes_reserved();
+  for (int i = 0; i < 5; ++i) {
+    for (const xpath::CompiledQuery& query : queries) {
+      ASSERT_TRUE(session.Evaluate(query, doc).ok());
+    }
+  }
+  EXPECT_EQ(session.arena_block_allocations(), blocks);
+  EXPECT_EQ(session.arena_bytes_reserved(), reserved);
 }
 
 /// One session per thread over one shared Document: results identical to

@@ -214,7 +214,8 @@ TEST_F(PaperExamplesTest, PaperErrataExample9Positions) {
   // positions in the node-test-filtered list following::d (x14 is 1st of
   // 3 d-followers of x12, x23 the 2nd). Both readings satisfy
   // "position() != last()" here — the paper's final result is unchanged,
-  // which this checks end-to-end (see EXPERIMENTS.md E7).
+  // which this checks end-to-end (see "Paper notes" in
+  // docs/architecture.md).
   xpath::CompiledQuery pos = MustCompile(
       "count(following::d[position() != last()])");
   EvalContext ctx{X("12"), 1, 1};

@@ -289,7 +289,8 @@ TEST(FragmentTest, Restriction3Violations) {
 
 TEST(FragmentTest, ConstantConversionsAllowedInWadler) {
   // Normalizer-inserted conversions around constants keep scalar sizes
-  // data-independent and stay inside the fragment (DESIGN.md refinement).
+  // data-independent and stay inside the fragment (the Restriction 1
+  // refinement, docs/architecture.md).
   EXPECT_NE(MustCompile("a['1' + 1 = position()]").fragment(),
             Fragment::kFullXPath);
 }

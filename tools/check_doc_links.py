@@ -8,6 +8,10 @@ match a heading's GitHub-style anchor slug. External links
 (http/https/mailto) are out of scope — this gate is about keeping the
 repo self-consistent, not about the internet being up.
 
+It also scans the comments of the C++ sources under src/ and tests/:
+every `*.md` file a comment names must exist, at that path from the
+repo root or next to the source file.
+
 Usage: tools/check_doc_links.py [repo_root]   (exit 1 on any broken link)
 """
 
@@ -19,6 +23,19 @@ from pathlib import Path
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 EXTERNAL = ("http://", "https://", "mailto:")
+
+# One C++ lexical unit that can hide a comment marker or hold one:
+# comments, raw strings, string literals and character literals. Scanning
+# them left to right keeps "//a" in a string from reading as a comment.
+CPP_UNIT_RE = re.compile(
+    r"(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r'|R"(?P<delim>[^(\s"]*)\(.*?\)(?P=delim)"'
+    r'|"(?:\\.|[^"\\\n])*"'
+    r"|'(?:\\.|[^'\\\n]){1,8}'",  # short: 10'000 is no char literal
+    re.DOTALL)
+MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
+SOURCE_DIRS = ("src", "tests")
+SOURCE_SUFFIXES = {".h", ".cc", ".cpp"}
 
 
 def anchor_slug(heading: str) -> str:
@@ -74,6 +91,29 @@ def check_file(doc: Path, root: Path, anchors_cache: dict) -> list:
     return errors
 
 
+def check_source_refs(root: Path) -> list:
+    """Every *.md file named in a comment under src/ or tests/ exists."""
+    errors = []
+    for top in SOURCE_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in SOURCE_SUFFIXES:
+                continue
+            text = path.read_text(encoding="utf-8")
+            for unit in CPP_UNIT_RE.finditer(text):
+                if unit.group("comment") is None:
+                    continue
+                for name in MD_NAME_RE.finditer(unit.group("comment")):
+                    target = name.group()
+                    if (root / target).exists() or \
+                            (path.parent / target).exists():
+                        continue
+                    line = text.count("\n", 0, unit.start() + name.start())
+                    errors.append(f"{path.relative_to(root)}:{line + 1}: "
+                                  f"comment names '{target}', which does "
+                                  f"not exist")
+    return errors
+
+
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
     docs = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
@@ -86,10 +126,12 @@ def main() -> int:
     errors = []
     for doc in docs:
         errors.extend(check_file(doc, root, anchors_cache))
+    errors.extend(check_source_refs(root))
 
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
-    checked = ", ".join(str(d.relative_to(root)) for d in docs)
+    checked = ", ".join([str(d.relative_to(root)) for d in docs] +
+                        [f"comments under {top}/" for top in SOURCE_DIRS])
     if errors:
         print(f"check_doc_links: {len(errors)} broken link(s) across "
               f"{checked}", file=sys.stderr)
