@@ -1,4 +1,4 @@
-// Experiment E10 (DESIGN.md): ablations of MINCONTEXT's individual ideas
+// Experiment E10: ablations of MINCONTEXT's individual ideas
 // (§3.1), isolating what each one buys:
 //
 //  idea 2, "special treatment of location paths on the outermost level"

@@ -1,4 +1,4 @@
-// Experiment E9 (DESIGN.md): the O(|D|) axis-computation lemma of [11]
+// Experiment E9: the O(|D|) axis-computation lemma of [11]
 // restated in §2.1 — χ(X) and χ⁻¹(X) in time linear in the document.
 // items_per_second (nodes/s) should stay roughly constant per axis as
 // |D| grows; superlinear axes would show a falling rate.

@@ -1,4 +1,4 @@
-// Experiment E4 (DESIGN.md): Theorem 13 — Core XPath evaluates in
+// Experiment E4: Theorem 13 — Core XPath evaluates in
 // O(|D|·|Q|). Sweeps |D| on complete trees for a Core XPath query with
 // nested path predicates; the per-node time of the corexpath series must
 // stay flat (linear total), with MINCONTEXT alongside for contrast.

@@ -1,4 +1,4 @@
-// Experiment E2 (DESIGN.md): document scaling on a full-XPath query —
+// Experiment E2: document scaling on a full-XPath query —
 // the paper's running example (Figure 3), which mixes position()/last()
 // arithmetic with a value comparison. Compares E↓ (Definition 2,
 // O(|D|⁵·|Q|²)) against MINCONTEXT (Theorem 7, O(|D|⁴·|Q|²)) and

@@ -1,4 +1,4 @@
-// Experiment E3 (DESIGN.md): Theorem 10. Example 9's query is in the
+// Experiment E3: Theorem 10. Example 9's query is in the
 // Extended Wadler Fragment; OPTMINCONTEXT evaluates its inner paths
 // bottom-up through inverse axes in O(|D|²·|Q|²) time and O(|D|·|Q|²)
 // table space, while plain MINCONTEXT materializes per-origin relations.

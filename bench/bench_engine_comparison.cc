@@ -1,4 +1,4 @@
-// Experiment E8 (DESIGN.md): the "who wins" table of §1/§5 — across a
+// Experiment E8: the "who wins" table of §1/§5 — across a
 // mixed query suite, OPTMINCONTEXT adheres to the best applicable bound:
 // Core XPath queries run on the linear engine, Extended Wadler queries
 // use bottom-up paths, and everything else falls back to MINCONTEXT, so

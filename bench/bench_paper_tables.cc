@@ -1,4 +1,4 @@
-// Experiments E6 and E7 (DESIGN.md): regenerates the paper's worked
+// Experiments E6 and E7: regenerates the paper's worked
 // artifacts and verifies every cell:
 //   E6 — the §2.4 running example on the Figure 2 document: the
 //        context-value tables of Figure 4 (N1, N2, N3) and the
@@ -6,7 +6,7 @@
 //   E7 — Example 9: the bottom-up propagation stages (Y, Y′, Y″, Y‴, X)
 //        and the final result of Q.
 // Exits non-zero if any regenerated cell disagrees with the paper
-// (modulo the two errata documented in EXPERIMENTS.md).
+// (modulo the two errata in docs/architecture.md#paper-notes).
 
 #include <cstdio>
 #include <map>
@@ -124,7 +124,7 @@ void RunningExampleTables() {
     const bool got = v.ok() && v->boolean();
     printf("  x%-4s -> %s%s\n", cn.c_str(), got ? "true" : "false",
            cn == "24" ? "   (paper's Figure 5 prints 'false' here; "
-                        "erratum, see EXPERIMENTS.md)"
+                        "erratum, see docs/architecture.md#paper-notes)"
                       : "");
     Check(got == expected, "N5 row x" + cn);
   }
@@ -228,7 +228,7 @@ void Example9Trace() {
         "Example 9 final result");
   printf("(note: the paper computes e1's positions over following::* "
          "rather than\n following::d — Definition-2 semantics used here; "
-         "same result. See EXPERIMENTS.md.)\n");
+         "same result. See docs/architecture.md#paper-notes.)\n");
 }
 
 }  // namespace

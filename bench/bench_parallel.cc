@@ -1,11 +1,12 @@
-// Intra-query parallelism (src/exec/): partitioned step kernels vs. the
-// sequential kernels they wrap — the tentpole claim of EvalOptions::
+// Intra-query parallelism (src/exec/): the partitioned descendant scan
+// vs. the sequential scan it splits — the claim of EvalOptions::
 // parallel. The workload is the shape the feature exists for: one heavy
 // full-materialization `//x` over a large document (tens of MB
 // serialized), where a single step dominates and Sato et al.-style
 // intra-query partitioning is the only parallelism available.
 //
-// Measured, on the Core XPath engine (scan and indexed paths):
+// Measured, on the Core XPath engine with the index off (indexed steps
+// always run sequentially, so the scan is the only partitioned path):
 //   - sequential evaluation (parallel off);
 //   - parallel evaluation at 2 and 4 workers (min_frontier left at its
 //     default: production settings, no test-only forcing).
@@ -31,7 +32,6 @@ namespace {
 
 struct Arm {
   const char* name;
-  bool use_index;
   uint32_t workers;  // 0 = parallel off
   double micros = 0;
   double speedup = 1.0;
@@ -40,7 +40,7 @@ struct Arm {
 EvalOptions ArmOptions(const Arm& arm) {
   EvalOptions options;
   options.engine = EngineKind::kCoreXPath;
-  options.use_index = arm.use_index;
+  options.use_index = false;
   if (arm.workers > 0) {
     options.parallel.enabled = true;
     options.parallel.max_workers = arm.workers;
@@ -106,28 +106,21 @@ int main(int argc, char** argv) {
   const xpath::CompiledQuery query = MustCompile("//x");
 
   std::vector<Arm> arms = {
-      {"scan sequential", false, 0},
-      {"scan parallel x2", false, 2},
-      {"scan parallel x4", false, 4},
-      {"index sequential", true, 0},
-      {"index parallel x4", true, 4},
+      {"scan sequential", 0},
+      {"scan parallel x2", 2},
+      {"scan parallel x4", 4},
   };
 
   // Bit-identity first: every arm's full result and stats rendering must
-  // equal the sequential scan reference (the index arms differ from the
-  // scan arms in stats, so each family checks against its own base).
+  // equal the sequential scan reference.
   bool ok = true;
-  EvalStats scan_stats, index_stats;
-  const Value scan_reference =
-      EvalWithStats(query, doc, ArmOptions(arms[0]), &scan_stats);
-  const Value index_reference =
-      EvalWithStats(query, doc, ArmOptions(arms[3]), &index_stats);
+  EvalStats want_stats;
+  const Value want =
+      EvalWithStats(query, doc, ArmOptions(arms[0]), &want_stats);
   for (const Arm& arm : arms) {
     if (arm.workers == 0) continue;
     EvalStats stats;
     const Value got = EvalWithStats(query, doc, ArmOptions(arm), &stats);
-    const Value& want = arm.use_index ? index_reference : scan_reference;
-    const EvalStats& want_stats = arm.use_index ? index_stats : scan_stats;
     if (!got.StructurallyEquals(want)) {
       fprintf(stderr, "FAIL: %s result diverged from sequential\n", arm.name);
       ok = false;
@@ -142,19 +135,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  double scan_seq_us = 0, scan_x4_us = 0;
   for (Arm& arm : arms) {
     arm.micros = TimeEvalUs(query, doc, ArmOptions(arm));
-    const double base =
-        arm.use_index ? arms[3].micros : arms[0].micros;
-    arm.speedup = base / arm.micros;
+    arm.speedup = arms[0].micros / arm.micros;
     printf("%-18s %12.0f us   %5.2fx\n", arm.name, arm.micros, arm.speedup);
-    if (std::strcmp(arm.name, "scan sequential") == 0) scan_seq_us = arm.micros;
-    if (std::strcmp(arm.name, "scan parallel x4") == 0) scan_x4_us = arm.micros;
   }
 
   // The scaling gate, guarded by the hardware actually present.
-  const double scan_x4_speedup = scan_seq_us / scan_x4_us;
+  const double scan_x4_speedup = arms[2].speedup;
   if (smoke) {
     if (hw >= 4 && scan_x4_speedup < 2.5) {
       fprintf(stderr,

@@ -1,4 +1,4 @@
-// Experiment E1 (DESIGN.md): the headline result. On the two-leaf
+// Experiment E1: the headline result. On the two-leaf
 // document <a><b/><b/></a>, naive per-context evaluation takes time
 // exponential in the size of the nested-predicate query family
 //   Q_1 = //a/b,   Q_{n+1} = //a/b[Q_n]

@@ -1,4 +1,4 @@
-// Experiment E5 (DESIGN.md): the space claims. Wall-clock cannot observe
+// Experiment E5: the space claims. Wall-clock cannot observe
 // memory bounds, so this harness reads the engines' instrumented
 // context-value-table cell counts (EvalStats::cells_peak) and prints one
 // table per query class:

@@ -12,8 +12,8 @@
 //      (EvalStats::nodes_visited, the counter wall-clock can't fake).
 //
 // Results are asserted bit-identical between tiers on an engine × result
-// mode × parallel mini-matrix — always, not just under --smoke (the full
-// matrix lives in differential_test.cc). --json PATH writes the numbers
+// mode mini-matrix — always, not just under --smoke (the full matrix
+// lives in differential_test.cc). --json PATH writes the numbers
 // for the uploaded perf-trajectory artifact.
 
 #include <cstdio>
@@ -29,17 +29,13 @@ namespace xpe::bench {
 namespace {
 
 EvalOptions TierOptions(index::IndexTier tier, EngineKind engine,
-                        ResultMode mode, bool parallel) {
+                        ResultMode mode) {
   EvalOptions options;
   options.engine = engine;
   options.use_index = true;
   options.index_tier = tier;
   options.result.mode = mode;
   if (mode == ResultMode::kLimit) options.result.limit = 100;
-  if (parallel) {
-    options.parallel.enabled = true;
-    options.parallel.max_workers = 4;
-  }
   return options;
 }
 
@@ -114,44 +110,37 @@ int main(int argc, char** argv) {
   for (EngineKind engine :
        {EngineKind::kCoreXPath, EngineKind::kOptMinContext}) {
     for (ResultMode mode : kModes) {
-      for (bool parallel : {false, true}) {
-        EvalStats hot_stats, dense_stats;
-        const Value hot = EvalWithStats(
-            query, doc, TierOptions(IndexTier::kHot, engine, mode, parallel),
-            &hot_stats);
-        const Value dense = EvalWithStats(
-            query, doc, TierOptions(IndexTier::kDense, engine, mode, parallel),
-            &dense_stats);
-        if (!hot.StructurallyEquals(dense)) {
-          fprintf(stderr, "FAIL: %s/%s/parallel=%d diverged across tiers\n",
-                  EngineKindToString(engine), ResultModeToString(mode),
-                  parallel);
-          ok = false;
-        }
-        if (hot_stats.ToString() != dense_stats.ToString()) {
-          fprintf(stderr,
-                  "FAIL: %s/%s/parallel=%d stats diverged across tiers\n"
-                  "  hot:   %s\n  dense: %s\n",
-                  EngineKindToString(engine), ResultModeToString(mode),
-                  parallel, hot_stats.ToString().c_str(),
-                  dense_stats.ToString().c_str());
-          ok = false;
-        }
+      EvalStats hot_stats, dense_stats;
+      const Value hot = EvalWithStats(
+          query, doc, TierOptions(IndexTier::kHot, engine, mode), &hot_stats);
+      const Value dense = EvalWithStats(
+          query, doc, TierOptions(IndexTier::kDense, engine, mode),
+          &dense_stats);
+      if (!hot.StructurallyEquals(dense)) {
+        fprintf(stderr, "FAIL: %s/%s diverged across tiers\n",
+                EngineKindToString(engine), ResultModeToString(mode));
+        ok = false;
+      }
+      if (hot_stats.ToString() != dense_stats.ToString()) {
+        fprintf(stderr,
+                "FAIL: %s/%s stats diverged across tiers\n"
+                "  hot:   %s\n  dense: %s\n",
+                EngineKindToString(engine), ResultModeToString(mode),
+                hot_stats.ToString().c_str(), dense_stats.ToString().c_str());
+        ok = false;
       }
     }
   }
-  printf("bit-identity: hot == dense on 2 engines x 5 modes x parallel "
-         "on/off\n");
+  printf("bit-identity: hot == dense on 2 engines x 5 modes\n");
 
   // --- time: full materialization per tier -------------------------------
   const double hot_us = TimeEvalUs(
       query, doc,
-      TierOptions(IndexTier::kHot, EngineKind::kCoreXPath, ResultMode::kFull,
-                  false));
+      TierOptions(IndexTier::kHot, EngineKind::kCoreXPath, ResultMode::kFull));
   const double dense_us = TimeEvalUs(
       query, doc,
-      TierOptions(IndexTier::kDense, EngineKind::kCoreXPath, ResultMode::kFull,
-                  false));
+      TierOptions(IndexTier::kDense, EngineKind::kCoreXPath,
+                  ResultMode::kFull));
   const double ratio = dense_us / hot_us;
   printf("\n//x full:     hot %9.0f us  dense %9.0f us  (%.2fx)\n", hot_us,
          dense_us, ratio);
@@ -166,12 +155,12 @@ int main(int argc, char** argv) {
   const Value fast = EvalWithStats(
       query, doc,
       TierOptions(IndexTier::kDense, EngineKind::kCoreXPath,
-                  ResultMode::kCount, false),
+                  ResultMode::kCount),
       &fast_stats);
   const Value full = EvalWithStats(
       query, doc,
-      TierOptions(IndexTier::kDense, EngineKind::kCoreXPath, ResultMode::kFull,
-                  false),
+      TierOptions(IndexTier::kDense, EngineKind::kCoreXPath,
+                  ResultMode::kFull),
       &full_stats);
   if (fast_stats.count_fast_path != 1) {
     fprintf(stderr, "FAIL: Count(//x) did not take the fast path (stats: %s)\n",

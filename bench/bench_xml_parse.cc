@@ -1,4 +1,4 @@
-// Experiment E11 (DESIGN.md): substrate throughput. The paper's engines
+// Experiment E11: substrate throughput. The paper's engines
 // assume the document tree, string-values and id index are available;
 // this bench shows the XML substrate itself is not the bottleneck:
 // parse + index throughput in MB/s, serialization, and the lazy id-axis

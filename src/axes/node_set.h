@@ -11,8 +11,7 @@ namespace xpe {
 
 /// "No limit" for every node-count bound: ResultSpec::node_limit() of
 /// the full-result modes, and the `limit` argument of the step kernels
-/// (scan, index and parallel) that stop after that many
-/// document-order-first nodes.
+/// that stop after that many document-order-first nodes.
 inline constexpr uint64_t kNoNodeLimit = ~uint64_t{0};
 
 /// A set of nodes of one document, stored as a sorted (= document-ordered,

@@ -86,19 +86,21 @@ struct BatchOptions {
   /// stats are aggregated race-free into BatchStats and the registry.
   /// The result spec is overridden per item by BatchItem::result.
   ///
-  /// eval.parallel composes safely with the pool (nesting policy): all
-  /// intra-query chunking draws on the single process-wide
-  /// exec::Executor of hardware_concurrency()-1 threads, so N batch
-  /// workers with parallel items never create N × max_workers threads —
-  /// total threads stay capped at the hardware no matter how the two
-  /// layers are combined. A batch worker that picks up a parallel item
-  /// simply shares the executor; if the executor is saturated (or the
-  /// evaluation is itself running on an executor thread —
-  /// Executor::InParallelRegion), steps run inline on the worker,
-  /// sequential-identical. Results stay deterministic either way; only
-  /// wall-clock changes. Rule of thumb: keep parallel off for batches
-  /// of many small queries (the pool is the parallelism) and turn it on
-  /// when single heavy queries dominate the batch.
+  /// eval.parallel composes safely with the pool (nesting policy): the
+  /// only partitioned kernel, the descendant scan, draws on the single
+  /// process-wide exec::Executor of hardware_concurrency()-1 threads, so
+  /// N batch workers with parallel items never create N × max_workers
+  /// threads — total threads stay capped at the hardware no matter how
+  /// the two layers are combined. A batch worker that picks up a
+  /// parallel item simply shares the executor; if the executor is
+  /// saturated, the worker runs the remaining chunks itself, and if the
+  /// evaluation is itself running on an executor thread
+  /// (Executor::InParallelRegion), its scans run sequentially. Results
+  /// stay deterministic either way; only wall-clock changes. Rule of
+  /// thumb: keep parallel off for batches of many small queries (the
+  /// pool is the parallelism) and turn it on when single heavy
+  /// descendant scans dominate the batch (steps answered from the index
+  /// always run sequentially).
   EvalOptions eval;
   /// Bound on distinct cached plans (LRU beyond it).
   size_t plan_cache_capacity = 1024;

@@ -174,16 +174,15 @@ struct EvalOptions {
   /// change. Ignored when use_index is false.
   std::optional<index::IndexTier> index_tier;
   /// Intra-query parallelism (exec/parallel_options.h): partition heavy
-  /// location steps across the shared executor pool and merge in
-  /// document order. Results, stats and profiler accounting are
-  /// identical to sequential evaluation; only wall-clock changes. Off
-  /// by default — worth enabling for single heavy queries over large
-  /// documents (the `//x` full-materialization shape); for many small
-  /// queries prefer batch::BatchEvaluator, with which this composes
-  /// safely (both draw on one fixed process-wide pool, and evaluations
-  /// already running on pool threads stay sequential). The naive engine
-  /// ignores this, like use_index — it stays the executable
-  /// specification.
+  /// descendant scans across the shared executor pool, in document
+  /// order. Results, stats and profiler accounting are identical to
+  /// sequential evaluation; only wall-clock changes. Off by default —
+  /// worth enabling for single heavy queries over large documents (the
+  /// `//x` full-materialization shape); for many small queries prefer
+  /// batch::BatchEvaluator, with which this composes safely (both draw
+  /// on one fixed process-wide pool, and evaluations already running on
+  /// pool threads stay sequential). The naive engine ignores this, like
+  /// use_index — it stays the executable specification.
   exec::ParallelOptions parallel;
   /// Ablation switch (bench_ablation): disables §3.1's "special treatment
   /// of location paths on the outermost level" in MINCONTEXT /

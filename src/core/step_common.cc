@@ -76,7 +76,7 @@ StepContext::StepContext(const Document& doc, const EvalOptions& options)
     : doc(doc),
       use_index(options.use_index),
       tier(options.index_tier.value_or(doc.index_tier())),
-      parallel(exec::MakePolicy(options.parallel, options.result.mode)),
+      parallel(exec::MakePolicy(options.parallel)),
       node_limit(options.result.node_limit()),
       profile(options.profile),
       stats_(options.stats != nullptr ? options.stats : &own_stats_),
@@ -120,31 +120,18 @@ void RestrictByNodeTestInto(const StepContext& sc, const xpath::AstNode& step,
   const uint64_t t0 = sc.StepStart();
   const Document& doc = sc.doc;
   const bool indexed = sc.use_index && index::NodeTestIndexable(step.test);
-  uint32_t workers = 0;
   if (indexed) {
-    const index::IndexView view = doc.index_view(sc.tier);
-    if (sc.parallel.active()) {
-      workers = exec::ParallelRestrict(sc.parallel, doc, &view, step.axis,
-                                       step.test, nodes, out);
-    }
-    if (workers == 0) {
-      index::IndexedApplyNodeTestInto(doc, view, step.axis, step.test, nodes,
-                                      out);
-    }
+    index::IndexedApplyNodeTestInto(doc, doc.index_view(sc.tier), step.axis,
+                                    step.test, nodes, out);
   } else if (step.test.kind == NodeTest::Kind::kNode) {
     out->assign(nodes.begin(), nodes.end());
   } else {
-    if (sc.parallel.active()) {
-      workers = exec::ParallelRestrict(sc.parallel, doc, /*index=*/nullptr,
-                                       step.axis, step.test, nodes, out);
-    }
-    if (workers == 0) ApplyNodeTestInto(doc, step.axis, step.test, nodes, out);
+    ApplyNodeTestInto(doc, step.axis, step.test, nodes, out);
   }
   // Input+output in every branch (and in StepKernel), so index-on/off
-  // and parallel-on/off comparisons of nodes_visited measure one
-  // quantity.
+  // comparisons of nodes_visited measure one quantity.
   sc.RecordStep(step_id, t0, nodes.size(), out->size(),
-                nodes.size() + out->size(), indexed, workers);
+                nodes.size() + out->size(), indexed);
 }
 
 void StepKernel::EvalInto(std::span<const NodeId> x, std::vector<NodeId>* out,
@@ -161,29 +148,21 @@ void StepKernel::EvalInto(std::span<const NodeId> x, std::vector<NodeId>* out,
   // materializes, so nodes_visited is parallel-invariant).
   uint64_t examined = 0;
   if (indexed) {
-    if (sc_.parallel.active()) {
-      workers = exec::ParallelIndexedStep(sc_.parallel, doc, postings_,
-                                          step_.axis, step_.test, x, out,
-                                          limit);
-    }
-    if (workers == 0) {
-      index::IndexedStepOverPostingsInto(doc, postings_, step_.axis,
-                                         step_.test, x, out, limit);
-    }
+    index::IndexedStepOverPostingsInto(doc, postings_, step_.axis, step_.test,
+                                       x, out, limit);
     examined = out->size();
   } else {
     ++sc_.stats().axis_evals;
     if (sc_.parallel.active()) {
       workers = exec::ParallelDescendantScan(sc_.parallel, doc, step_.axis,
-                                             step_.test, x, out, limit,
-                                             &examined);
+                                             step_.test, x, out, &examined);
     }
     if (workers == 0) {
       const NodeSet image = EvalAxis(doc, step_.axis, NodeSet::FromSorted(x));
       examined = image.size();
       ApplyNodeTestInto(doc, step_.axis, step_.test, image.ids(), out);
-      if (limit != kNoNodeLimit && out->size() > limit) out->resize(limit);
     }
+    if (out->size() > limit) out->resize(limit);
   }
   sc_.RecordStep(step_id_, t0, x.size(), out->size(), x.size() + examined,
                  indexed, workers);

@@ -6,6 +6,7 @@
 
 #include "src/axes/axis.h"
 #include "src/common/status.h"
+#include "src/core/engine.h"
 #include "src/core/stats.h"
 #include "src/exec/parallel_step.h"
 #include "src/index/index_tier.h"
@@ -34,8 +35,8 @@ class StepContext {
   const bool use_index;
   /// EvalOptions::index_tier, or the document's tier when unset.
   const index::IndexTier tier;
-  /// EvalOptions::parallel resolved against the result mode and the
-  /// calling thread; inactive means sequential evaluation.
+  /// EvalOptions::parallel resolved against the calling thread;
+  /// inactive means sequential evaluation.
   const exec::ParallelPolicy parallel;
   /// ResultSpec::node_limit() of the call.
   const uint64_t node_limit;
@@ -110,10 +111,12 @@ NodeSet StepCandidates(const xml::Document& doc, Axis axis,
 /// Construction resolves the document index's postings once (when
 /// `sc.use_index` is on and the step is index-eligible), so per-origin
 /// loops pay no repeated name lookups; EvalInto then answers from the
-/// postings or falls back to the O(|D|) scan, partitioned across the
-/// shared executor pool when `sc.parallel` is active, and charges the
-/// call through StepContext::RecordStep. Id steps, never
-/// index-eligible, take the scan path like any axis without postings.
+/// postings or falls back to the O(|D|) scan, and charges the call
+/// through StepContext::RecordStep. Only a descendant scan is
+/// partitioned across the shared executor pool (when `sc.parallel` is
+/// active); indexed steps always run their sequential kernel. Id steps,
+/// never index-eligible, take the scan path like any axis without
+/// postings.
 class StepKernel {
  public:
   /// `step` is the location-step node `step_id` names; profiler rows
@@ -126,9 +129,9 @@ class StepKernel {
   /// buffer (cleared first). `x` is any sorted duplicate-free id
   /// sequence — the per-origin loops pass single-element spans. On the
   /// indexed path the limit stops the postings walk itself and the call
-  /// is allocation-free; the scan path materializes the axis image and
-  /// truncates, which is correct but not sublinear — the reason
-  /// Exists()/First() want the index on.
+  /// is allocation-free; the scan path, sequential or partitioned,
+  /// materializes the axis image and truncates, which is correct but
+  /// not sublinear — the reason Exists()/First() want the index on.
   void EvalInto(std::span<const xml::NodeId> x, std::vector<xml::NodeId>* out,
                 uint64_t limit = kNoNodeLimit) const;
 
@@ -145,9 +148,9 @@ class StepKernel {
 /// T(t) ∩ nodes for the backward-propagation passes, where t is the
 /// node test of `step` (the node `step_id` names): a postings
 /// intersection when `sc.use_index` is on and the test is
-/// postings-backed, the ApplyNodeTest scan otherwise; chunked when
-/// `sc.parallel` is active, and charged like a StepKernel call. Writes
-/// into a caller-owned buffer (cleared first).
+/// postings-backed, the ApplyNodeTest scan otherwise; always
+/// sequential, and charged like a StepKernel call. Writes into a
+/// caller-owned buffer (cleared first).
 void RestrictByNodeTestInto(const StepContext& sc, const xpath::AstNode& step,
                             xpath::AstId step_id,
                             std::span<const xml::NodeId> nodes,

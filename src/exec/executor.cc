@@ -43,11 +43,11 @@ Executor& Executor::Shared() {
   return shared;
 }
 
-void Executor::RunTasks(Job& job, uint32_t slot) {
+void Executor::RunTasks(Job& job) {
   for (;;) {
     const uint32_t t = job.next.fetch_add(1, std::memory_order_relaxed);
     if (t >= job.num_tasks) return;
-    (*job.fn)(t, slot);
+    (*job.fn)(t);
     // acq_rel: the last finisher's load pairs with every finisher's
     // store, so the waiter in Run observes all task side effects.
     if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -58,11 +58,11 @@ void Executor::RunTasks(Job& job, uint32_t slot) {
   }
 }
 
-std::shared_ptr<Executor::Job> Executor::FindClaimableLocked(uint32_t* slot) {
+std::shared_ptr<Executor::Job> Executor::FindClaimableLocked() {
   for (const std::shared_ptr<Job>& job : jobs_) {
     if (job->slots_claimed >= job->max_slots) continue;
     if (job->next.load(std::memory_order_relaxed) >= job->num_tasks) continue;
-    *slot = job->slots_claimed++;
+    ++job->slots_claimed;
     return job;
   }
   return nullptr;
@@ -71,18 +71,17 @@ std::shared_ptr<Executor::Job> Executor::FindClaimableLocked(uint32_t* slot) {
 void Executor::WorkerLoop() {
   for (;;) {
     std::shared_ptr<Job> job;
-    uint32_t slot = 0;
     {
       std::unique_lock<std::mutex> lk(mu_);
       wake_.wait(lk, [&] {
         if (shutdown_) return true;
-        job = FindClaimableLocked(&slot);
+        job = FindClaimableLocked();
         return job != nullptr;
       });
       if (shutdown_) return;
     }
     RegionGuard region;
-    RunTasks(*job, slot);
+    RunTasks(*job);
   }
 }
 
@@ -92,7 +91,7 @@ void Executor::Run(uint32_t num_tasks, uint32_t max_workers,
   if (max_workers <= 1 || num_tasks == 1 || threads_.empty() ||
       t_in_parallel_region) {
     RegionGuard region;
-    for (uint32_t t = 0; t < num_tasks; ++t) fn(t, 0);
+    for (uint32_t t = 0; t < num_tasks; ++t) fn(t);
     return;
   }
 
@@ -109,7 +108,7 @@ void Executor::Run(uint32_t num_tasks, uint32_t max_workers,
 
   {
     RegionGuard region;
-    RunTasks(*job, 0);  // the caller is slot 0, claimed at construction
+    RunTasks(*job);  // the caller's slot is claimed at construction
   }
   {
     std::unique_lock<std::mutex> lk(job->done_mu);

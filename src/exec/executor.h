@@ -21,9 +21,8 @@ namespace xpe::exec {
 /// threads join in. Claiming is work-stealing at chunk granularity: every
 /// participant steals the next unclaimed task index from the job's atomic
 /// cursor, so a slow chunk never blocks the others and load balances
-/// without per-task queues. Each participant gets a stable *slot* id in
-/// [0, w) (0 = the caller) — the key for thread-local scratch (per-chunk
-/// output tables in parallel_step.cc are keyed finer, per task).
+/// without per-task queues. Tasks key any scratch they write by task
+/// index (parallel_step.cc keeps one output run per task).
 ///
 /// Concurrency contract (machine-checked by the TSan CI job):
 ///  - Run blocks until every task of its job has finished; task effects
@@ -45,8 +44,8 @@ namespace xpe::exec {
 /// same stats, no threads.
 class Executor {
  public:
-  /// fn(task, slot): task in [0, num_tasks), slot in [0, max_workers).
-  using TaskFn = std::function<void(uint32_t task, uint32_t slot)>;
+  /// fn(task): task in [0, num_tasks).
+  using TaskFn = std::function<void(uint32_t task)>;
 
   explicit Executor(unsigned pool_threads);
   ~Executor();
@@ -57,7 +56,7 @@ class Executor {
   /// Runs fn for every task index in [0, num_tasks), on this thread plus
   /// up to max_workers-1 pool threads, and blocks until all have
   /// finished. Degenerate shapes (one task, one worker, empty pool,
-  /// nested call) run inline on the caller with slot 0.
+  /// nested call) run inline on the caller, in task order.
   void Run(uint32_t num_tasks, uint32_t max_workers, const TaskFn& fn);
 
   unsigned pool_threads() const {
@@ -94,10 +93,11 @@ class Executor {
 
   void WorkerLoop();
   /// Claims tasks from `job` until the cursor runs past the end.
-  static void RunTasks(Job& job, uint32_t slot);
-  /// A queued job this worker may still join (unclaimed tasks and a free
-  /// slot), or nullptr. Requires mu_.
-  std::shared_ptr<Job> FindClaimableLocked(uint32_t* slot);
+  static void RunTasks(Job& job);
+  /// Claims a slot in a queued job this worker may still join
+  /// (unclaimed tasks and a free slot), or returns nullptr. Requires
+  /// mu_.
+  std::shared_ptr<Job> FindClaimableLocked();
 
   std::mutex mu_;
   std::condition_variable wake_;

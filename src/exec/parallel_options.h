@@ -6,18 +6,20 @@
 namespace xpe::exec {
 
 /// Intra-query parallelism knobs (EvalOptions::parallel). One *query* is
-/// parallelized by partitioning individual location steps — the frontier
-/// span, or a descendant step's subtree-interval domain — into chunks
-/// that run on the process-wide exec::Executor pool and merge back in
-/// document order. Results, EvalStats and profiler rows are identical to
-/// sequential evaluation by construction (tests/parallel_test.cc holds
-/// them bit-identical); only wall-clock changes.
+/// parallelized by partitioning its descendant scans — a descendant
+/// step's subtree-interval domain on the scan path — into chunks that
+/// run on the process-wide exec::Executor pool and concatenate in
+/// document order. Indexed steps and every other axis stay sequential.
+/// Results, EvalStats and every profiler field but `workers_used` are
+/// identical to sequential evaluation by construction
+/// (tests/parallel_test.cc holds them bit-identical); only wall-clock
+/// changes.
 ///
-/// Off by default: for small documents or highly selective indexed steps
-/// the sequential kernels win, and servers usually prefer inter-query
-/// parallelism (batch::BatchEvaluator) until a single query is heavy
-/// enough to be worth splitting (Sato et al. 2018's analysis; see the
-/// README's "Parallel evaluation" section for the cutoff heuristics).
+/// Off by default: for small documents or indexed steps the sequential
+/// kernels win, and servers usually prefer inter-query parallelism
+/// (batch::BatchEvaluator) until a single query is heavy enough to be
+/// worth splitting (Sato et al. 2018's analysis; see the README's
+/// "Parallel evaluation" section).
 struct ParallelOptions {
   /// Master switch. When false the engines never touch the executor.
   bool enabled = false;
@@ -29,10 +31,10 @@ struct ParallelOptions {
   /// parallel evaluations (e.g. under BatchEvaluator) never multiplies
   /// threads. Values above the hardware only make chunks smaller.
   uint32_t max_workers = 0;
-  /// Work-unit cutoff: a step whose partitionable work (frontier nodes,
-  /// covered postings, or subtree-interval length) is below this stays
-  /// sequential — fan-out/merge overhead dwarfs small steps. The default
-  /// is conservative; tests set 1 to force chunking on tiny documents.
+  /// Work-unit cutoff: a descendant scan whose covered subtree-interval
+  /// length is below this stays sequential — fan-out overhead dwarfs
+  /// small steps. The default is conservative; tests set 1 to force
+  /// chunking on tiny documents.
   uint32_t min_frontier = 4096;
 };
 

@@ -1,12 +1,10 @@
 #include "src/exec/parallel_step.h"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 
 #include "src/core/step_common.h"
 #include "src/exec/executor.h"
-#include "src/index/step_index.h"
 
 namespace xpe::exec {
 
@@ -14,7 +12,7 @@ using xml::Document;
 using xml::NodeId;
 using xpath::NodeTest;
 
-ParallelPolicy MakePolicy(const ParallelOptions& options, ResultMode mode) {
+ParallelPolicy MakePolicy(const ParallelOptions& options) {
   ParallelPolicy policy;
   if (!options.enabled || Executor::InParallelRegion()) return policy;
   policy.max_workers = options.max_workers != 0
@@ -22,9 +20,6 @@ ParallelPolicy MakePolicy(const ParallelOptions& options, ResultMode mode) {
                            : std::thread::hardware_concurrency();
   if (policy.max_workers < 1) policy.max_workers = 1;
   policy.min_work = options.min_frontier < 1 ? 1 : options.min_frontier;
-  // Only kExists may cancel: any `limit` nodes decide it. kFirst/kLimit
-  // need the document-order-first nodes, which requires every chunk.
-  policy.cancel_on_limit = mode == ResultMode::kExists;
   return policy;
 }
 
@@ -48,56 +43,23 @@ uint32_t PlanChunks(uint64_t work, const ParallelPolicy& policy,
   return static_cast<uint32_t>(n);
 }
 
-void KWayMergeUnique(std::span<const std::vector<NodeId>> runs,
-                     std::vector<NodeId>* out, uint64_t limit) {
-  out->clear();
-  if (limit == 0) return;
-  std::vector<size_t> pos(runs.size(), 0);
-  for (;;) {
-    bool any = false;
-    NodeId best = 0;
-    for (size_t k = 0; k < runs.size(); ++k) {
-      if (pos[k] >= runs[k].size()) continue;
-      const NodeId head = runs[k][pos[k]];
-      if (!any || head < best) {
-        best = head;
-        any = true;
-      }
-    }
-    if (!any) return;
-    out->push_back(best);
-    // Advance every run whose head equals `best` — this is the dedup
-    // (parent-axis chunks can produce the same node).
-    for (size_t k = 0; k < runs.size(); ++k) {
-      if (pos[k] < runs[k].size() && runs[k][pos[k]] == best) ++pos[k];
-    }
-    if (out->size() >= limit) return;
-  }
-}
-
 namespace {
 
-/// A disjoint ascending run of work units mapped onto ids: either a
-/// postings-index range (indexed descendant) or a node-id range (scan
-/// descendant). `cum` is the cumulative unit count through this range,
-/// so the range holding global work position p is the first one with
-/// cum > p (upper_bound).
+/// A disjoint ascending node-id range of the scan domain, starting at
+/// `begin`. `cum` is the cumulative length through this range, so the
+/// range holding global work position p is the first one with cum > p.
 struct WorkRange {
-  uint64_t begin = 0;
-  uint64_t end = 0;
+  NodeId begin = 0;
   uint64_t cum = 0;
 };
 
-/// The frontier's disjoint maximal subtree intervals — the exact skip
-/// logic of index::DescendantStep and of the sequential IntervalSweep's
-/// merged marking, so chunk domains match the sequential kernels'
-/// coverage node for node. Interval extents are [origin(+1),
-/// subtree_end(origin)) with `map(begin, end)` turning an id interval
-/// into work units (identity for scans, a postings subrange for the
-/// indexed path).
-template <typename MapFn>
+/// The frontier's disjoint maximal subtree intervals [origin(+1),
+/// subtree_end(origin)) — the exact skip logic of the sequential
+/// IntervalSweep's merged marking, so chunk domains match the
+/// sequential kernel's coverage node for node. Returns their summed
+/// length.
 uint64_t CoveredRanges(const Document& doc, bool or_self,
-                       std::span<const NodeId> x, MapFn map,
+                       std::span<const NodeId> x,
                        std::vector<WorkRange>* ranges) {
   uint64_t total = 0;
   NodeId covered_end = 0;
@@ -106,17 +68,14 @@ uint64_t CoveredRanges(const Document& doc, bool or_self,
     covered_end = doc.subtree_end(origin);
     const NodeId begin = or_self ? origin : origin + 1;
     if (begin >= covered_end) continue;
-    WorkRange r = map(begin, covered_end);
-    if (r.begin >= r.end) continue;
-    total += r.end - r.begin;
-    r.cum = total;
-    ranges->push_back(r);
+    total += covered_end - begin;
+    ranges->push_back({begin, total});
   }
   return total;
 }
 
-/// The subrange [*lo, *hi) of `ranges[range_idx]` covering global work
-/// positions [p, p_end), clamped to the range's extent.
+/// The index of the range holding global work position `p`: the first
+/// range whose cumulative length exceeds it.
 size_t FindRange(const std::vector<WorkRange>& ranges, uint64_t p) {
   size_t lo = 0, hi = ranges.size();
   while (lo < hi) {
@@ -132,94 +91,11 @@ size_t FindRange(const std::vector<WorkRange>& ranges, uint64_t p) {
 
 }  // namespace
 
-uint32_t ParallelIndexedStep(const ParallelPolicy& policy, const Document& doc,
-                             const index::PostingsView& postings, Axis axis,
-                             const NodeTest& test, std::span<const NodeId> x,
-                             std::vector<NodeId>* out, uint64_t limit) {
-  if (!policy.active() || x.empty() || postings.empty() || limit == 0) {
-    return 0;  // the sequential kernel's trivial-input fast paths
-  }
-
-  if (axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf) {
-    // The sequential kernel's output is postings restricted to the
-    // frontier's disjoint maximal subtree intervals — already sorted
-    // and duplicate-free, so the parallel form is a partitioned copy
-    // into prefix-summed final positions. No per-chunk tables, no
-    // merge, and the limit is a cap on the copied prefix.
-    std::vector<WorkRange> ranges;
-    const uint64_t total = CoveredRanges(
-        doc, axis == Axis::kDescendantOrSelf, x,
-        [&](NodeId begin, NodeId end) {
-          WorkRange r;
-          r.begin = postings.LowerBound(begin);
-          r.end = postings.LowerBound(end);
-          return r;
-        },
-        &ranges);
-    const uint64_t produced = std::min(total, limit);
-    uint64_t chunk = 0;
-    const uint32_t n_chunks = PlanChunks(produced, policy, &chunk);
-    if (n_chunks == 0) return 0;
-    out->resize(produced);
-    Executor::Shared().Run(
-        n_chunks, policy.max_workers, [&](uint32_t t, uint32_t) {
-          uint64_t p = uint64_t{t} * chunk;
-          const uint64_t p_end = std::min(p + chunk, produced);
-          size_t r = FindRange(ranges, p);
-          while (p < p_end) {
-            const uint64_t before = r == 0 ? 0 : ranges[r - 1].cum;
-            const uint64_t take =
-                std::min(ranges[r].cum - p, p_end - p);
-            const size_t k0 =
-                static_cast<size_t>(ranges[r].begin + p - before);
-            postings.Decode(k0, k0 + static_cast<size_t>(take),
-                            out->data() + p);
-            p += take;
-            ++r;
-          }
-        });
-    return std::min<uint32_t>(policy.max_workers, n_chunks);
-  }
-
-  if (axis != Axis::kSelf && axis != Axis::kChild && axis != Axis::kParent &&
-      axis != Axis::kAttribute) {
-    // ancestor(-or-self) rescans all postings per chunk (anti-parallel);
-    // following/preceding chunk outputs overlap almost entirely.
-    return 0;
-  }
-
-  // Frontier partitioning: each chunk of origins runs the sequential
-  // kernel into its own run; runs interleave (child/attribute) or can
-  // repeat nodes (parent), so they k-way merge with dedup. Each chunk
-  // obeys `limit` individually — the true document-order prefix of the
-  // union is contained in the per-chunk prefixes.
-  uint64_t chunk = 0;
-  const uint32_t n_chunks = PlanChunks(x.size(), policy, &chunk);
-  if (n_chunks == 0) return 0;
-  std::vector<std::vector<NodeId>> runs(n_chunks);
-  std::atomic<bool> cancel{false};
-  const bool cancelable = policy.cancel_on_limit && limit != kNoNodeLimit;
-  Executor::Shared().Run(
-      n_chunks, policy.max_workers, [&](uint32_t t, uint32_t) {
-        if (cancelable && cancel.load(std::memory_order_acquire)) return;
-        const size_t lo = static_cast<size_t>(uint64_t{t} * chunk);
-        const size_t len = std::min<size_t>(x.size() - lo, chunk);
-        index::IndexedStepOverPostingsInto(doc, postings, axis, test,
-                                           x.subspan(lo, len), &runs[t],
-                                           limit);
-        if (cancelable && runs[t].size() >= limit) {
-          cancel.store(true, std::memory_order_release);
-        }
-      });
-  KWayMergeUnique(runs, out, limit);
-  return std::min<uint32_t>(policy.max_workers, n_chunks);
-}
-
 uint32_t ParallelDescendantScan(const ParallelPolicy& policy,
                                 const Document& doc, Axis axis,
                                 const NodeTest& test,
                                 std::span<const NodeId> x,
-                                std::vector<NodeId>* out, uint64_t limit,
+                                std::vector<NodeId>* out,
                                 uint64_t* image_size) {
   if (axis != Axis::kDescendant && axis != Axis::kDescendantOrSelf) return 0;
   if (!policy.active() || x.empty()) return 0;
@@ -229,14 +105,7 @@ uint32_t ParallelDescendantScan(const ParallelPolicy& policy,
   // minus attribute nodes — except that descendant-or-self keeps
   // attribute *origins* (EvalAxis computes sweep(attrs=false) ∪ x).
   std::vector<WorkRange> ranges;
-  const uint64_t total = CoveredRanges(doc, or_self, x,
-                                       [](NodeId begin, NodeId end) {
-                                         WorkRange r;
-                                         r.begin = begin;
-                                         r.end = end;
-                                         return r;
-                                       },
-                                       &ranges);
+  const uint64_t total = CoveredRanges(doc, or_self, x, &ranges);
   uint64_t chunk = 0;
   const uint32_t n_chunks = PlanChunks(total, policy, &chunk);
   if (n_chunks == 0) return 0;
@@ -244,87 +113,42 @@ uint32_t ParallelDescendantScan(const ParallelPolicy& policy,
   // Chunks scan disjoint ascending id subranges of the union: matches
   // concatenate in document order, and per-chunk attribute exclusion
   // counts reconstruct the image size the sequential path would have
-  // materialized. No cancellation here — the sequential scan also
-  // visits the whole image under a limit (it truncates afterwards), and
-  // the driver's nodes_visited must come out identical.
+  // materialized, so the caller's nodes_visited comes out identical.
   std::vector<std::vector<NodeId>> runs(n_chunks);
   std::vector<uint64_t> excluded(n_chunks, 0);
-  Executor::Shared().Run(
-      n_chunks, policy.max_workers, [&](uint32_t t, uint32_t) {
-        uint64_t p = uint64_t{t} * chunk;
-        const uint64_t p_end = std::min(p + chunk, total);
-        std::vector<NodeId>& run = runs[t];
-        size_t r = FindRange(ranges, p);
-        while (p < p_end) {
-          const uint64_t before = r == 0 ? 0 : ranges[r - 1].cum;
-          const NodeId id_lo =
-              static_cast<NodeId>(ranges[r].begin + (p - before));
-          const uint64_t take = std::min(ranges[r].cum - p, p_end - p);
-          for (NodeId id = id_lo; id < id_lo + take; ++id) {
-            if (doc.IsAttribute(id) &&
-                !(or_self && std::binary_search(x.begin(), x.end(), id))) {
-              ++excluded[t];  // not in the axis image
-              continue;
-            }
-            if (MatchesNodeTest(doc, axis, test, id)) run.push_back(id);
-          }
-          p += take;
-          ++r;
+  Executor::Shared().Run(n_chunks, policy.max_workers, [&](uint32_t t) {
+    uint64_t p = uint64_t{t} * chunk;
+    const uint64_t p_end = std::min(p + chunk, total);
+    std::vector<NodeId>& run = runs[t];
+    size_t r = FindRange(ranges, p);
+    while (p < p_end) {
+      const uint64_t before = r == 0 ? 0 : ranges[r - 1].cum;
+      const NodeId id_lo = static_cast<NodeId>(ranges[r].begin + (p - before));
+      const uint64_t take = std::min(ranges[r].cum - p, p_end - p);
+      for (NodeId id = id_lo; id < id_lo + take; ++id) {
+        if (doc.IsAttribute(id) &&
+            !(or_self && std::binary_search(x.begin(), x.end(), id))) {
+          ++excluded[t];  // not in the axis image
+          continue;
         }
-      });
+        if (MatchesNodeTest(doc, axis, test, id)) run.push_back(id);
+      }
+      p += take;
+      ++r;
+    }
+  });
   uint64_t image = total;
-  out->clear();
   size_t matched = 0;
   for (uint32_t t = 0; t < n_chunks; ++t) {
     image -= excluded[t];
     matched += runs[t].size();
   }
-  out->reserve(std::min<uint64_t>(matched, limit));
-  for (const std::vector<NodeId>& run : runs) {
-    if (out->size() >= limit) break;
-    const size_t take =
-        std::min<uint64_t>(run.size(), limit - out->size());
-    out->insert(out->end(), run.begin(), run.begin() + take);
-  }
-  *image_size = image;
-  return std::min<uint32_t>(policy.max_workers, n_chunks);
-}
-
-uint32_t ParallelRestrict(const ParallelPolicy& policy, const Document& doc,
-                          const index::IndexView* index, Axis axis,
-                          const NodeTest& test, std::span<const NodeId> nodes,
-                          std::vector<NodeId>* out) {
-  if (!policy.active()) return 0;
-  if (index != nullptr && nodes.size() == doc.size()) {
-    // The sequential kernel answers the universe shape with one copy of
-    // the postings; chunked intersections would only be slower.
-    return 0;
-  }
-  uint64_t chunk = 0;
-  const uint32_t n_chunks = PlanChunks(nodes.size(), policy, &chunk);
-  if (n_chunks == 0) return 0;
-  std::vector<std::vector<NodeId>> runs(n_chunks);
-  Executor::Shared().Run(
-      n_chunks, policy.max_workers, [&](uint32_t t, uint32_t) {
-        const size_t lo = static_cast<size_t>(uint64_t{t} * chunk);
-        const size_t len = std::min<size_t>(nodes.size() - lo, chunk);
-        if (index != nullptr) {
-          index::IndexedApplyNodeTestInto(doc, *index, axis, test,
-                                          nodes.subspan(lo, len), &runs[t]);
-        } else {
-          ApplyNodeTestInto(doc, axis, test, nodes.subspan(lo, len),
-                            &runs[t]);
-        }
-      });
-  // Chunk inputs are disjoint ascending slices of a sorted set, so the
-  // outputs concatenate — already sorted, already duplicate-free.
   out->clear();
-  size_t total = 0;
-  for (const std::vector<NodeId>& run : runs) total += run.size();
-  out->reserve(total);
+  out->reserve(matched);
   for (const std::vector<NodeId>& run : runs) {
     out->insert(out->end(), run.begin(), run.end());
   }
+  *image_size = image;
   return std::min<uint32_t>(policy.max_workers, n_chunks);
 }
 

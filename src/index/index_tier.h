@@ -69,7 +69,8 @@ class PostingsView {
   /// Number of ids in [lo, hi): O(log size) on both tiers — the
   /// dispatcher's kCount fast path.
   uint64_t CountInRange(xml::NodeId lo, xml::NodeId hi) const;
-  /// Copies ids [k0, k1) into out (the parallel kernels' chunk copy).
+  /// Copies ids [k0, k1) into out (the whole-list copy behind
+  /// MINCONTEXT's SeedCandidates and IndexedApplyNodeTestInto).
   void Decode(size_t k0, size_t k1, xml::NodeId* out) const;
 
  private:

@@ -77,8 +77,10 @@ class EliasFanoList {
 
   Cursor At(size_t k) const { return Cursor(this, k); }
 
-  /// Copies values [k0, k1) into `out` (the parallel step kernels'
-  /// chunk-copy primitive; the flat tier's equivalent is std::copy_n).
+  /// Copies values [k0, k1) into `out` (PostingsView::Decode on the
+  /// dense tier, behind MINCONTEXT's SeedCandidates and
+  /// IndexedApplyNodeTestInto; the flat tier's equivalent is
+  /// std::copy_n).
   void Decode(size_t k0, size_t k1, uint32_t* out) const;
 
   /// Calls `f(value)` for values [k0, k1) in order; stops early when f

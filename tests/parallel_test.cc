@@ -1,22 +1,21 @@
-// Intra-query parallelism (src/exec/): the partitioned step kernels must
-// be invisible except in wall-clock — results, EvalStats and profiler
-// accounting bit-identical to sequential evaluation.
+// Intra-query parallelism (src/exec/): the partitioned descendant scan
+// must be invisible except in wall-clock — results, EvalStats and
+// profiler accounting bit-identical to sequential evaluation.
 //
-// Four layers of coverage:
-//  - executor unit tests: every task runs exactly once, slot ids stay in
-//    bounds, nested Run calls run inline (InParallelRegion), the shared
-//    pool is a process-wide singleton;
-//  - merge unit tests: KWayMergeUnique is the document-order dedup merge
-//    its callers assume, including the limit cutoff;
+// Three layers of coverage:
+//  - executor unit tests: every task runs exactly once, degenerate
+//    shapes run inline on the caller, nested Run calls run inline
+//    (InParallelRegion), the shared pool is a process-wide singleton;
 //  - the parallel differential: one corpus over all six engines × index
-//    on/off × all five result modes × worker counts 1/2/4/8, holding the
-//    Value AND the EvalStats rendering equal to a parallel-off run —
+//    configs × all five result modes × worker counts 1/2/4/8, holding
+//    the Value AND the EvalStats rendering equal to a parallel-off run —
 //    parallelism may only ever change wall-clock, never answers or
 //    accounting;
-//  - composition: early termination still short-circuits under parallel
-//    eval (the kExists cancellation path), budgets still trip, profiler
-//    rows still reconcile, and BatchEvaluator workers with parallel
-//    items share the one process-wide pool (ISSUE 7 bugfix satellite).
+//  - composition: Exists still short-circuits with parallel options
+//    set, budgets still trip inside a partitioned scan, profiler rows
+//    still reconcile and show that only descendant scans partition, and
+//    BatchEvaluator workers with parallel items share the one
+//    process-wide pool.
 
 #include <gtest/gtest.h>
 
@@ -43,9 +42,8 @@ TEST(ExecutorTest, RunsEveryTaskExactlyOnce) {
   exec::Executor executor(/*pool_threads=*/3);
   constexpr uint32_t kTasks = 1000;
   std::vector<std::atomic<uint32_t>> hits(kTasks);
-  executor.Run(kTasks, /*max_workers=*/4, [&](uint32_t task, uint32_t slot) {
+  executor.Run(kTasks, /*max_workers=*/4, [&](uint32_t task) {
     EXPECT_LT(task, kTasks);
-    EXPECT_LT(slot, 4u);
     hits[task].fetch_add(1, std::memory_order_relaxed);
   });
   for (uint32_t t = 0; t < kTasks; ++t) {
@@ -56,18 +54,19 @@ TEST(ExecutorTest, RunsEveryTaskExactlyOnce) {
 TEST(ExecutorTest, TaskEffectsAreVisibleAfterRun) {
   exec::Executor executor(/*pool_threads=*/2);
   std::vector<uint64_t> cells(256, 0);  // plain writes, disjoint per task
-  executor.Run(256, 8,
-               [&](uint32_t task, uint32_t) { cells[task] = task + 1; });
+  executor.Run(256, 8, [&](uint32_t task) { cells[task] = task + 1; });
   for (uint32_t t = 0; t < 256; ++t) EXPECT_EQ(cells[t], t + 1u);
 }
 
 TEST(ExecutorTest, ZeroAndOneTaskShapesWork) {
   exec::Executor executor(/*pool_threads=*/2);
-  executor.Run(0, 4, [&](uint32_t, uint32_t) { FAIL() << "no tasks exist"; });
+  executor.Run(0, 4, [&](uint32_t) { FAIL() << "no tasks exist"; });
   uint32_t ran = 0;
-  executor.Run(1, 4, [&](uint32_t task, uint32_t slot) {
+  const std::thread::id caller = std::this_thread::get_id();
+  executor.Run(1, 4, [&](uint32_t task) {
     EXPECT_EQ(task, 0u);
-    EXPECT_EQ(slot, 0u);  // single task runs inline on the caller
+    // A single task runs inline on the caller.
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     ++ran;
   });
   EXPECT_EQ(ran, 1u);
@@ -77,8 +76,9 @@ TEST(ExecutorTest, EmptyPoolRunsInlineInTaskOrder) {
   exec::Executor executor(/*pool_threads=*/0);
   EXPECT_EQ(executor.pool_threads(), 0u);
   std::vector<uint32_t> order;
-  executor.Run(8, 4, [&](uint32_t task, uint32_t slot) {
-    EXPECT_EQ(slot, 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  executor.Run(8, 4, [&](uint32_t task) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(task);
   });
   ASSERT_EQ(order.size(), 8u);
@@ -90,12 +90,11 @@ TEST(ExecutorTest, NestedRunRunsInlineOnTheCallingThread) {
   EXPECT_FALSE(exec::Executor::InParallelRegion());
   std::atomic<uint32_t> inner_total{0};
   std::atomic<bool> saw_region{false};
-  executor.Run(4, 4, [&](uint32_t, uint32_t) {
+  executor.Run(4, 4, [&](uint32_t) {
     if (exec::Executor::InParallelRegion()) saw_region.store(true);
     const std::thread::id outer_thread = std::this_thread::get_id();
     // A Run from inside a task must not recurse into the pool.
-    executor.Run(3, 4, [&](uint32_t, uint32_t slot) {
-      EXPECT_EQ(slot, 0u);
+    executor.Run(3, 4, [&](uint32_t) {
       EXPECT_EQ(std::this_thread::get_id(), outer_thread);
       inner_total.fetch_add(1, std::memory_order_relaxed);
     });
@@ -117,24 +116,18 @@ TEST(ExecutorTest, SharedPoolIsAProcessWideSingleton) {
 
 TEST(ParallelPolicyTest, DisabledOrNestedStaysSequential) {
   exec::ParallelOptions off;
-  EXPECT_FALSE(exec::MakePolicy(off, ResultMode::kFull).active());
+  EXPECT_FALSE(exec::MakePolicy(off).active());
 
   exec::ParallelOptions on;
   on.enabled = true;
   on.max_workers = 4;
-  EXPECT_TRUE(exec::MakePolicy(on, ResultMode::kFull).active());
-  EXPECT_FALSE(exec::MakePolicy(on, ResultMode::kFull).cancel_on_limit);
-  EXPECT_TRUE(exec::MakePolicy(on, ResultMode::kExists).cancel_on_limit);
-  // kFirst/kLimit need the exact document-order prefix: no cancellation.
-  EXPECT_FALSE(exec::MakePolicy(on, ResultMode::kFirst).cancel_on_limit);
-  EXPECT_FALSE(exec::MakePolicy(on, ResultMode::kLimit).cancel_on_limit);
+  EXPECT_TRUE(exec::MakePolicy(on).active());
 
   // From inside an executor task the policy must resolve to sequential,
   // whatever the options say — nested parallel regions run inline.
   exec::Executor executor(/*pool_threads=*/1);
-  executor.Run(1, 1, [&](uint32_t, uint32_t) {
-    EXPECT_FALSE(exec::MakePolicy(on, ResultMode::kFull).active());
-  });
+  executor.Run(1, 1,
+               [&](uint32_t) { EXPECT_FALSE(exec::MakePolicy(on).active()); });
 }
 
 TEST(ParallelPolicyTest, PlanChunksHonorsTheCutoff) {
@@ -152,29 +145,13 @@ TEST(ParallelPolicyTest, PlanChunksHonorsTheCutoff) {
   EXPECT_EQ(exec::PlanChunks(100000, sequential, &chunk), 0u);
 }
 
-// --- k-way merge ------------------------------------------------------------
-
-TEST(KWayMergeTest, MergesDedupsAndTruncates) {
-  using Run = std::vector<xml::NodeId>;
-  std::vector<Run> runs = {{1, 4, 7}, {2, 4, 9}, {}, {4, 5}};
-  std::vector<xml::NodeId> out;
-  exec::KWayMergeUnique(runs, &out);
-  EXPECT_EQ(out, (Run{1, 2, 4, 5, 7, 9}));
-
-  exec::KWayMergeUnique(runs, &out, /*limit=*/3);
-  EXPECT_EQ(out, (Run{1, 2, 4}));
-
-  std::vector<Run> empty;
-  exec::KWayMergeUnique(empty, &out);
-  EXPECT_TRUE(out.empty());
-}
-
 // --- the parallel differential ----------------------------------------------
 
-/// Queries chosen so every partitioned kernel shape fires somewhere:
-/// descendant scans and postings walks (`//x`), frontier-chunked child /
-/// attribute / parent steps, the sequential fallbacks (ancestor,
-/// following), Wadler backward restrictions, predicates and scalars.
+/// Queries chosen so the partitioned descendant scan fires in every
+/// engine (`//a`, `//a//b`, descendants inside predicates and scalars)
+/// beside the steps that always run sequentially: postings walks,
+/// child, parent, ancestor and following steps, and Wadler backward
+/// restrictions.
 const char* kParallelCorpus[] = {
     "//a",
     "//a/b",
@@ -191,16 +168,20 @@ const char* kParallelCorpus[] = {
 
 /// Attribute-axis spellings need a document that has attributes
 /// (MakeRandomDocument generates none); the bibliography corpus does.
+/// descendant-or-self from attribute origins keeps the origins, the one
+/// attribute node a descendant scan's image holds.
 const char* kAttributeCorpus[] = {
     "//book/@year",
     "//book[@year]/title",
     "count(//@id)",
+    "//@year/descendant-or-self::node()",
 };
 
 struct ParallelDiffCase {
   EngineKind engine;
-  /// The partitioned parallel paths must be bit-identical across flat
-  /// and succinct postings, results and stats both.
+  /// With the index on, steps the postings answer run sequentially and
+  /// the rest may still take the partitioned scan; results and stats
+  /// must match a parallel-off run on every tier either way.
   test::IndexConfig index;
 };
 
@@ -220,7 +201,7 @@ std::vector<ParallelDiffCase> ParallelDiffCases() {
 
 /// The table-filling engines pay |D|²-and-worse per evaluation, so they
 /// get a small document; the linear engines get one large enough that
-/// every chunked kernel genuinely partitions. min_frontier = 1 in the
+/// the descendant scan genuinely partitions. min_frontier = 1 in the
 /// differential makes the small documents chunk too.
 int DifferentialDocSize(EngineKind engine) {
   switch (engine) {
@@ -262,7 +243,7 @@ void ExpectParallelMatchesSequential(const xml::Document& doc,
         popts.stats = &got_stats;
         popts.parallel.enabled = true;
         popts.parallel.max_workers = workers;
-        popts.parallel.min_frontier = 1;  // force the partitioned paths
+        popts.parallel.min_frontier = 1;  // force the partitioned scan
         StatusOr<Value> got = Evaluate(plan, doc, {}, popts);
         ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
         EXPECT_TRUE(got->StructurallyEquals(*want)) << label;
@@ -300,12 +281,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ParallelEarlyTerminationTest, ExistsStillShortCircuits) {
   // One "x" needle per 99 fillers over 20k elements: the indexed
   // descendant probe stops at the first posting. Exists must keep doing
-  // so when the step kernels are partitioned — the kExists cancellation
-  // path may only ever save wall-clock, never change the counters. (The
-  // scan path is exempt from the "far fewer nodes" claim even
-  // sequentially: it materializes the full axis image under any limit,
-  // and the parallel chunks reproduce that accounting — covered by the
-  // differential above.)
+  // so with parallel options set, and read the same counters as a
+  // sequential run. (The scan path is exempt from the "far fewer nodes"
+  // claim even sequentially: it materializes the full axis image under
+  // any limit, and the partitioned scan reproduces that accounting —
+  // covered by the differential above.)
   std::vector<std::string> labels = {"x"};
   for (int i = 0; i < 99; ++i) {
     labels.push_back("abcde" + std::to_string(i % 5));
@@ -363,6 +343,8 @@ TEST(ParallelBudgetTest, BudgetsTripIdenticallyUnderParallelEval) {
        {EngineKind::kCoreXPath, EngineKind::kOptMinContext}) {
     EvalOptions opts;
     opts.engine = engine;
+    // Index off: the descendant steps take the partitioned scan.
+    opts.use_index = false;
     opts.parallel = {.enabled = true, .max_workers = 4, .min_frontier = 1};
 
     opts.budget = 1;
@@ -383,26 +365,40 @@ TEST(ParallelProfilerTest, StepRowsReconcileAndReportWorkers) {
   const xml::Document doc =
       xml::MakeRandomDocument(4000, {"a", "b", "x"}, /*seed=*/9);
   doc.WarmCaches();
-  Query q = *Query::Compile("//a/b");
-  q.With(EngineKind::kCoreXPath)
-      .WithIndex(false)
-      .WithParallel({.enabled = true, .max_workers = 4, .min_frontier = 1});
-  const obs::ProfileReport report = *q.Profile(doc);
-  ASSERT_FALSE(report.data.steps().empty());
-  // The rows must reconcile exactly as they do sequentially...
-  EXPECT_EQ(report.data.nodes_visited_total(), report.stats.nodes_visited);
-  uint32_t widest = 0;
-  for (const obs::QueryProfile::Step& step : report.data.steps()) {
-    EXPECT_GE(step.workers_used, 1u);
-    widest = std::max(widest, step.workers_used);
+  for (bool use_index : {true, false}) {
+    const std::string label = use_index ? "index on" : "index off";
+    Query q = *Query::Compile("//a/b");
+    q.With(EngineKind::kCoreXPath)
+        .WithIndex(use_index)
+        .WithParallel({.enabled = true, .max_workers = 4, .min_frontier = 1});
+    const obs::ProfileReport report = *q.Profile(doc);
+    ASSERT_FALSE(report.data.steps().empty()) << label;
+    // The rows must reconcile exactly as they do sequentially...
+    EXPECT_EQ(report.data.nodes_visited_total(), report.stats.nodes_visited)
+        << label;
+    // ... and only descendant scans partition: with the index on every
+    // step answers from postings and runs sequentially, and with it off,
+    // min_frontier = 1 on a 4k-element document splits exactly the
+    // descendant steps.
+    bool any_partitioned = false;
+    for (const obs::QueryProfile::Step& step : report.data.steps()) {
+      const xpath::AstNode& node = q.plan().tree().node(step.ast_id);
+      const bool descendant = node.axis == Axis::kDescendant ||
+                              node.axis == Axis::kDescendantOrSelf;
+      EXPECT_GE(step.workers_used, 1u) << label;
+      EXPECT_EQ(step.workers_used > 1, !use_index && descendant)
+          << label << ": step " << step.ast_id << " on "
+          << AxisToString(node.axis) << " ran on " << step.workers_used
+          << " workers";
+      any_partitioned |= step.workers_used > 1;
+    }
+    EXPECT_EQ(any_partitioned, !use_index) << label;
+    EXPECT_NE(report.data.ToString().find("workers"), std::string::npos)
+        << label;
   }
-  // ... and with min_frontier = 1 on a 4k-element document, at least one
-  // step must actually have been partitioned.
-  EXPECT_GT(widest, 1u);
-  EXPECT_NE(report.data.ToString().find("workers"), std::string::npos);
 }
 
-// --- BatchEvaluator composition (the ISSUE 7 bugfix satellite) ---------------
+// --- BatchEvaluator composition --------------------------------------------
 
 TEST(ParallelBatchComposeTest, BatchWorkersWithParallelItemsStayCorrect) {
   const xml::Document doc =
@@ -426,9 +422,11 @@ TEST(ParallelBatchComposeTest, BatchWorkersWithParallelItemsStayCorrect) {
   // Batch workers × intra-query parallelism: both layers draw on the one
   // process-wide executor pool, so this oversubscribed shape must still
   // produce sequential-identical results (and, under the TSan CI job,
-  // race-free ones).
+  // race-free ones). Index off, so the descendant steps take the
+  // partitioned scan.
   batch::BatchOptions options;
   options.workers = 4;
+  options.eval.use_index = false;
   options.eval.parallel = {
       .enabled = true, .max_workers = 4, .min_frontier = 1};
   batch::BatchEvaluator pool(options);

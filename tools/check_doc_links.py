@@ -8,9 +8,9 @@ match a heading's GitHub-style anchor slug. External links
 (http/https/mailto) are out of scope — this gate is about keeping the
 repo self-consistent, not about the internet being up.
 
-It also scans the comments of the C++ sources under src/ and tests/:
-every `*.md` file a comment names must exist, at that path from the
-repo root or next to the source file.
+It also scans the comments of the C++ sources under src/, tests/,
+bench/ and examples/: every `*.md` file a comment names must exist, at
+that path from the repo root or next to the source file.
 
 Usage: tools/check_doc_links.py [repo_root]   (exit 1 on any broken link)
 """
@@ -34,7 +34,7 @@ CPP_UNIT_RE = re.compile(
     r"|'(?:\\.|[^'\\\n]){1,8}'",  # short: 10'000 is no char literal
     re.DOTALL)
 MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
-SOURCE_DIRS = ("src", "tests")
+SOURCE_DIRS = ("src", "tests", "bench", "examples")
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp"}
 
 
@@ -92,7 +92,7 @@ def check_file(doc: Path, root: Path, anchors_cache: dict) -> list:
 
 
 def check_source_refs(root: Path) -> list:
-    """Every *.md file named in a comment under src/ or tests/ exists."""
+    """Every *.md file named in a comment under SOURCE_DIRS exists."""
     errors = []
     for top in SOURCE_DIRS:
         for path in sorted((root / top).rglob("*")):
