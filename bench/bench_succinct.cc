@@ -1,7 +1,7 @@
-// The compressed index tier (src/succinct/): Elias-Fano postings over a
-// balanced-parentheses tree vs. the flat DocumentIndex, on a document
-// whose serialization crosses 10 MB. Three claims are measured and, under
-// --smoke, gated:
+// The compressed index tier (src/succinct/): Elias-Fano postings vs. the
+// flat DocumentIndex's sorted vectors (both tiers hold postings only), on
+// a document whose serialization crosses 10 MB. Three claims are
+// measured and, under --smoke, gated:
 //
 //   1. space  — the dense tier's MemoryUsageBytes() is ≤ 40% of the hot
 //      tier's on the ≥10 MB document;

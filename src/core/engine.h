@@ -167,11 +167,11 @@ struct EvalOptions {
   bool analyze = true;
   /// Which index storage tier answers indexed steps: kHot (flat postings
   /// arrays, fastest) or kDense (the succinct tier of src/succinct/ —
-  /// Elias-Fano postings over a balanced-parentheses tree, a fraction of
-  /// the memory at a small decode cost). Unset (the default) defers to
-  /// the document's configured tier (xml::Document::set_index_tier).
-  /// Results are bit-identical across tiers; only space/time trade-offs
-  /// change. Ignored when use_index is false.
+  /// Elias-Fano postings, a fraction of the memory at a small decode
+  /// cost). Unset (the default) defers to the document's configured tier
+  /// (xml::Document::set_index_tier). Results are bit-identical across
+  /// tiers; only space/time trade-offs change. Ignored when use_index is
+  /// false.
   std::optional<index::IndexTier> index_tier;
   /// Intra-query parallelism (exec/parallel_options.h): partition heavy
   /// descendant scans across the shared executor pool, in document

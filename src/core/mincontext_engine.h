@@ -195,11 +195,16 @@ class MinContextEngine {
   /// target set `y`. Returns the origin set X.
   StatusOr<NodeSet> PropagatePathBackwards(xpath::AstId path_id, NodeSet y);
 
-  /// The nodes a comparison π RelOp s must test to seed Y: those passing
-  /// the node test of π's last step (its postings when the index is on
-  /// and the test is postings-backed), since PropagatePathBackwards
-  /// restricts Y to that test first. Every node when π has no step.
-  void SeedCandidates(xpath::AstId path_id, std::vector<xml::NodeId>* out);
+  /// The seed Y of a comparison π RelOp s: the nodes satisfying `test`
+  /// among those passing the node test of π's last step (its postings
+  /// when the index is on and the test is postings-backed), since
+  /// PropagatePathBackwards restricts Y to that test first; among every
+  /// node when π has no step. Charged as one kernel call of that step
+  /// (of π itself when it has none): the nodes examined — all of |D| on
+  /// a scan, the decoded postings otherwise — go to nodes_visited and
+  /// the step's profiler row, as StepKernel counts its scan image and
+  /// its postings output.
+  NodeSet SeedCandidates(xpath::AstId path_id, const NodeScalarTest& test);
 
   /// Evaluates a context-independent node-set expression once (the head
   /// of a path propagated backwards).

@@ -3,8 +3,6 @@
 // propagation of node sets through inverse axes (eval_bottomup_path and
 // propagate_path_backwards of §6).
 
-#include <numeric>
-
 #include "src/common/numeric.h"
 #include "src/core/mincontext_engine.h"
 #include "src/index/step_index.h"
@@ -116,31 +114,39 @@ StatusOr<NodeSet> MinContextEngine::PropagatePathBackwards(AstId path_id,
   return current;
 }
 
-void MinContextEngine::SeedCandidates(AstId path_id,
-                                      std::vector<NodeId>* out) {
+NodeSet MinContextEngine::SeedCandidates(AstId path_id,
+                                         const NodeScalarTest& test) {
+  const uint64_t t0 = sc_.StepStart();
   const AstNode& path = tree_.node(path_id);
-  out->clear();
   const size_t step_begin = path.has_head ? 1 : 0;
-  const AstNode* last = path.children.size() > step_begin
-                            ? &tree_.node(path.children.back())
-                            : nullptr;
-  if (last == nullptr) {
-    out->resize(doc_.size());
-    std::iota(out->begin(), out->end(), NodeId{0});
-    return;
-  }
-  if (sc_.use_index && index::NodeTestIndexable(last->test)) {
+  const bool has_step = path.children.size() > step_begin;
+  const AstId row_id = has_step ? path.children.back() : path_id;
+  const AstNode* last = has_step ? &tree_.node(row_id) : nullptr;
+  const bool indexed = last != nullptr && sc_.use_index &&
+                       index::NodeTestIndexable(last->test);
+  EvalWorkspace::ScratchIds candidates = ws_.AcquireIds();
+  std::vector<NodeId>* out = candidates.get();
+  out->clear();
+  if (indexed) {
     const index::PostingsView postings = index::StepPostings(
         doc_, doc_.index_view(sc_.tier), last->axis, last->test);
     out->resize(postings.size());
     postings.Decode(0, postings.size(), out->data());
-    return;
-  }
-  for (NodeId node = 0; node < doc_.size(); ++node) {
-    if (MatchesNodeTest(doc_, last->axis, last->test, node)) {
-      out->push_back(node);
+  } else {
+    for (NodeId node = 0; node < doc_.size(); ++node) {
+      if (last == nullptr ||
+          MatchesNodeTest(doc_, last->axis, last->test, node)) {
+        out->push_back(node);
+      }
     }
   }
+  NodeSet y;
+  for (NodeId node : *out) {
+    if (test(doc_, node)) y.PushBackOrdered(node);
+  }
+  const uint64_t examined = indexed ? out->size() : doc_.size();
+  sc_.RecordStep(row_id, t0, /*frontier=*/0, y.size(), examined, indexed);
+  return y;
 }
 
 Status MinContextEngine::EvalBottomUpPath(AstId id) {
@@ -191,12 +197,8 @@ Status MinContextEngine::EvalBottomUpPath(AstId id) {
       XPE_RETURN_IF_ERROR(sc_.Charge(dom_size));
       // Each node is tested as the left operand: s RelOp π is π RelOp' s
       // with the mirrored operator.
-      const NodeScalarTest test(path_on_left ? op : MirrorOp(op), s_val);
-      EvalWorkspace::ScratchIds candidates = ws_.AcquireIds();
-      SeedCandidates(path_id, candidates.get());
-      for (NodeId node : *candidates) {
-        if (test(doc_, node)) y.PushBackOrdered(node);
-      }
+      y = SeedCandidates(
+          path_id, NodeScalarTest(path_on_left ? op : MirrorOp(op), s_val));
     }
   }
 

@@ -2,7 +2,6 @@
 
 namespace xpe::index {
 
-using xml::kInvalidNodeId;
 using xml::kNoString;
 using xml::NodeId;
 using xml::NodeKind;
@@ -12,16 +11,10 @@ DocumentIndex::DocumentIndex(const xml::Document& doc) {
   const uint32_t names = doc.name_count();
   element_postings_.resize(names);
   attribute_postings_.resize(names);
-  depths_.resize(n, 0);
-  for (auto& map : kind_maps_) map = DenseBitmap(n);
 
   for (NodeId id = 0; id < n; ++id) {
-    const NodeKind kind = doc.kind(id);
-    kind_maps_[static_cast<size_t>(kind)].Set(id);
-    const NodeId parent = doc.parent(id);
-    depths_[id] = parent == kInvalidNodeId ? 0 : depths_[parent] + 1;
     const uint32_t name = doc.name_id(id);
-    switch (kind) {
+    switch (doc.kind(id)) {
       case NodeKind::kElement:
         elements_.push_back(id);
         if (name != kNoString) element_postings_[name].push_back(id);
@@ -37,16 +30,14 @@ DocumentIndex::DocumentIndex(const xml::Document& doc) {
 }
 
 size_t DocumentIndex::MemoryUsageBytes() const {
-  size_t bytes = depths_.capacity() * sizeof(uint32_t) +
-                 (elements_.capacity() + attributes_.capacity()) *
-                     sizeof(NodeId);
+  size_t bytes =
+      (elements_.capacity() + attributes_.capacity()) * sizeof(NodeId);
   for (const auto& postings : element_postings_) {
     bytes += sizeof(postings) + postings.capacity() * sizeof(NodeId);
   }
   for (const auto& postings : attribute_postings_) {
     bytes += sizeof(postings) + postings.capacity() * sizeof(NodeId);
   }
-  for (const auto& map : kind_maps_) bytes += map.MemoryUsageBytes();
   return bytes;
 }
 

@@ -1,9 +1,7 @@
 #ifndef XPE_INDEX_DOCUMENT_INDEX_H_
 #define XPE_INDEX_DOCUMENT_INDEX_H_
 
-#include <array>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "src/xml/document.h"
@@ -11,53 +9,21 @@
 
 namespace xpe::index {
 
-/// A packed one-bit-per-node membership map, used for the per-kind maps of
-/// DocumentIndex. Unlike xpe::NodeBitmap (one byte per node, built for
-/// transient marking phases), this is a durable structure sized for
-/// million-node documents: 64 nodes per word plus a popcount.
-class DenseBitmap {
- public:
-  DenseBitmap() = default;
-  explicit DenseBitmap(xml::NodeId universe_size)
-      : size_(universe_size), words_((universe_size + 63) / 64, 0) {}
-
-  void Set(xml::NodeId id) {
-    uint64_t& w = words_[id >> 6];
-    const uint64_t bit = uint64_t{1} << (id & 63);
-    count_ += (w & bit) == 0;
-    w |= bit;
-  }
-  bool Test(xml::NodeId id) const {
-    return (words_[id >> 6] >> (id & 63)) & 1;
-  }
-
-  xml::NodeId size() const { return size_; }
-  /// Number of set bits (maintained incrementally, O(1)).
-  uint64_t count() const { return count_; }
-
-  size_t MemoryUsageBytes() const { return words_.size() * sizeof(uint64_t); }
-
- private:
-  xml::NodeId size_ = 0;
-  uint64_t count_ = 0;
-  std::vector<uint64_t> words_;
-};
-
-/// An immutable per-document search index, built in one O(|D|) pass:
-///
-///  - postings: for every interned name, the document-ordered NodeId list
-///    of elements (and, separately, attributes) carrying that name. Since
-///    NodeIds are preorder ranks, each postings list is sorted, and any
-///    subtree restriction is a binary-searchable contiguous range of it;
-///  - depth: per-node tree depth (root = 0, attributes = owner depth + 1);
-///  - kind maps: a DenseBitmap per NodeKind, plus the full element and
-///    attribute id lists for `*` node tests.
+/// An immutable per-document search index, built in one O(|D|) preorder
+/// pass: for every interned name, the document-ordered NodeId list of
+/// elements (and, separately, attributes) carrying that name, plus the
+/// full element and attribute id lists for `*` node tests. Since NodeIds
+/// are preorder ranks, each postings list is sorted, and any subtree
+/// restriction is a binary-searchable contiguous range of it. Tree
+/// navigation (parent, subtree_end, siblings) stays with the Document's
+/// own node records; the index holds postings only.
 ///
 /// DocumentIndex never owns the Document; it holds NodeIds only, so one
 /// index serves any number of concurrent read-only evaluations. Obtain the
 /// per-document singleton via Document::index() (built lazily, once); the
-/// constructor is public for tests and for callers that manage lifetime
-/// themselves. The index-accelerated step kernels live in step_index.h.
+/// constructor is public for tests and for the dense tier, which packs a
+/// transient flat build (succinct_index.h). The index-accelerated step
+/// kernels live in step_index.h.
 ///
 /// Concurrency: the structure is immutable after the constructor returns,
 /// and the once_flag in Document::index() publishes it, so first-touch
@@ -89,24 +55,8 @@ class DocumentIndex {
     return attributes_;
   }
 
-  /// Tree depth: 0 for the root, parent depth + 1 otherwise (attributes
-  /// hang one level below their owner element).
-  uint32_t depth(xml::NodeId id) const { return depths_[id]; }
-  const std::vector<uint32_t>& depths() const { return depths_; }
-
-  const DenseBitmap& kind_map(xml::NodeKind kind) const {
-    return kind_maps_[static_cast<size_t>(kind)];
-  }
-
-  /// Number of nodes of the indexed document.
-  xml::NodeId size() const { return static_cast<xml::NodeId>(depths_.size()); }
-  /// Number of interned names the postings tables cover.
-  uint32_t name_count() const {
-    return static_cast<uint32_t>(element_postings_.size());
-  }
-
-  /// Heap footprint of the index (postings + depths + bitmaps), for the
-  /// space benchmarks.
+  /// Heap footprint of the postings, for the space benchmarks and the
+  /// serve tier's index_bytes.
   size_t MemoryUsageBytes() const;
 
  private:
@@ -114,8 +64,6 @@ class DocumentIndex {
   std::vector<std::vector<xml::NodeId>> attribute_postings_;
   std::vector<xml::NodeId> elements_;
   std::vector<xml::NodeId> attributes_;
-  std::vector<uint32_t> depths_;
-  std::array<DenseBitmap, 6> kind_maps_;
   std::vector<xml::NodeId> empty_;
 };
 

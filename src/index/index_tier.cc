@@ -32,10 +32,6 @@ bool ParseIndexTier(std::string_view text, IndexTier* out) {
 PostingsView::PostingsView(const succinct::EliasFanoList* dense)
     : dense_(dense), size_(dense->size()) {}
 
-xml::NodeId PostingsView::Get(size_t k) const {
-  return is_flat() ? flat_[k] : dense_->Get(k);
-}
-
 size_t PostingsView::LowerBound(xml::NodeId v) const {
   if (is_flat()) {
     return static_cast<size_t>(
@@ -88,15 +84,6 @@ PostingsView IndexView::all_elements() const {
 PostingsView IndexView::all_attributes() const {
   return hot_ != nullptr ? Flat(hot_->all_attributes())
                          : Dense(dense_->all_attributes());
-}
-
-uint32_t IndexView::depth(xml::NodeId id) const {
-  return hot_ != nullptr ? hot_->depth(id) : dense_->depth(id);
-}
-
-size_t IndexView::MemoryUsageBytes() const {
-  return hot_ != nullptr ? hot_->MemoryUsageBytes()
-                         : dense_->MemoryUsageBytes();
 }
 
 }  // namespace xpe::index

@@ -6,41 +6,23 @@ namespace xpe::succinct {
 
 void BitVector::Finish() {
   const size_t n_words = words_.size();
-  super_.assign(n_words / kWordsPerSuper + 1, 0);
-  uint64_t running = 0;
+  super_.assign((n_words + kWordsPerSuper - 1) / kWordsPerSuper, 0);
+  uint64_t ones = 0;
   for (size_t w = 0; w < n_words; ++w) {
-    if (w % kWordsPerSuper == 0) super_[w / kWordsPerSuper] = running;
-    running += static_cast<uint64_t>(std::popcount(words_[w]));
+    if (w % kWordsPerSuper == 0) super_[w / kWordsPerSuper] = ones;
+    ones += static_cast<uint64_t>(std::popcount(words_[w]));
   }
-  ones_ = running;
-  if (n_words % kWordsPerSuper == 0) super_.back() = running;
 
   // One sample per kSelectSample ones: the superblock that holds the
   // (j * kSelectSample)-th one. Select1 binary-searches super_ between
   // consecutive samples, so the search window is O(1) superblocks.
-  select_samples_.assign(ones_ / kSelectSample + 1, 0);
+  select_samples_.assign(ones / kSelectSample + 1, 0);
   size_t sb = 0;
-  const size_t n_super = super_.size() - 1;  // real superblocks
   for (size_t j = 0; j < select_samples_.size(); ++j) {
     const uint64_t k = j * kSelectSample;
-    while (sb + 1 < n_super && super_[sb + 1] <= k) ++sb;
+    while (sb + 1 < super_.size() && super_[sb + 1] <= k) ++sb;
     select_samples_[j] = static_cast<uint32_t>(sb);
   }
-}
-
-uint64_t BitVector::Rank1(size_t i) const {
-  const size_t target_w = i >> 6;
-  const size_t sb = target_w / kWordsPerSuper;
-  uint64_t r = super_[sb];
-  for (size_t w = sb * kWordsPerSuper; w < target_w; ++w) {
-    r += static_cast<uint64_t>(std::popcount(words_[w]));
-  }
-  const size_t rem = i & 63;
-  if (rem != 0) {
-    r += static_cast<uint64_t>(
-        std::popcount(words_[target_w] & ((uint64_t{1} << rem) - 1)));
-  }
-  return r;
 }
 
 namespace {
@@ -63,7 +45,7 @@ size_t BitVector::Select1(uint64_t k) const {
   const uint64_t next_sample = k / kSelectSample + 1;
   size_t hi = next_sample < select_samples_.size()
                   ? select_samples_[next_sample] + 1
-                  : super_.size() - 1;
+                  : super_.size();
   while (lo + 1 < hi) {
     const size_t mid = (lo + hi) / 2;
     if (super_[mid] <= k) {

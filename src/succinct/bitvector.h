@@ -7,15 +7,14 @@
 
 namespace xpe::succinct {
 
-/// A plain bitvector with O(1) rank and near-O(1) select, the base layer
-/// of the succinct index tier (the balanced-parentheses tree and the
-/// Elias-Fano postings both sit on it).
+/// A plain bitvector with near-O(1) select, the high-bits layer of the
+/// dense tier's Elias-Fano postings (ef_postings.h).
 ///
-/// Space: the bits plus a ~14% directory — one cumulative popcount per
-/// 512-bit superblock for rank, and one superblock pointer per 512 ones
-/// for select (the "sampled select" of the SXSI line: samples narrow the
-/// superblock binary search to a constant-length window, the final word
-/// scan is at most 8 popcounts).
+/// Space: the bits plus a small directory — one cumulative popcount per
+/// 512-bit superblock, and one superblock pointer per 512 ones (the
+/// "sampled select" of the SXSI line: samples narrow the superblock
+/// binary search to a constant-length window, the final word scan is at
+/// most 8 popcounts).
 ///
 /// Build protocol: construct with the size, Set() bits in any order, then
 /// Finish() exactly once. After Finish the structure is immutable and
@@ -24,26 +23,16 @@ namespace xpe::succinct {
 class BitVector {
  public:
   BitVector() = default;
-  explicit BitVector(size_t n) : size_(n), words_((n + 63) / 64, 0) {}
+  explicit BitVector(size_t n) : words_((n + 63) / 64, 0) {}
 
   void Set(size_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
-  bool Get(size_t i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
 
-  /// Builds the rank directory and select samples. Call once, after the
-  /// last Set.
+  /// Builds the superblock directory and select samples. Call once,
+  /// after the last Set.
   void Finish();
 
-  /// Number of bits.
-  size_t size() const { return size_; }
-  /// Number of set bits (valid after Finish).
-  uint64_t ones() const { return ones_; }
-
-  /// Set bits in [0, i). `i` may be size(). Valid after Finish.
-  uint64_t Rank1(size_t i) const;
-  uint64_t Rank0(size_t i) const { return i - Rank1(i); }
-
-  /// Position of the k-th set bit, 0-based (`k < ones()`). Valid after
-  /// Finish.
+  /// Position of the k-th set bit, 0-based (`k` below the number of set
+  /// bits). Valid after Finish.
   size_t Select1(uint64_t k) const;
 
   /// Raw word access for sequential decoders (Elias-Fano cursors walk
@@ -53,16 +42,12 @@ class BitVector {
   size_t MemoryUsageBytes() const;
 
  private:
-  /// 8 words = 512 bits per rank superblock; one select sample per 512
-  /// ones.
+  /// 8 words = 512 bits per superblock; one select sample per 512 ones.
   static constexpr size_t kWordsPerSuper = 8;
   static constexpr uint64_t kSelectSample = 512;
 
-  size_t size_ = 0;
-  uint64_t ones_ = 0;
   std::vector<uint64_t> words_;
-  /// super_[j] = set bits before superblock j; one trailing entry holds
-  /// ones() so Rank1(size()) needs no bounds special-case.
+  /// super_[j] = set bits before superblock j.
   std::vector<uint64_t> super_;
   /// select_samples_[j] = superblock containing the (j*512)-th one.
   std::vector<uint32_t> select_samples_;

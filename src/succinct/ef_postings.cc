@@ -6,12 +6,13 @@ namespace xpe::succinct {
 
 EliasFanoList::EliasFanoList(std::span<const uint32_t> values,
                              uint64_t universe)
-    : u_(universe < 1 ? 1 : universe), m_(values.size()) {
+    : m_(values.size()) {
   if (m_ == 0) return;
-  const uint64_t per = u_ / m_;
+  const uint64_t u = universe < 1 ? 1 : universe;
+  const uint64_t per = u / m_;
   l_ = per <= 1 ? 0 : static_cast<uint32_t>(std::bit_width(per) - 1);
 
-  high_ = BitVector(m_ + (u_ >> l_) + 1);
+  high_ = BitVector(m_ + (u >> l_) + 1);
   for (size_t k = 0; k < m_; ++k) {
     high_.Set((static_cast<uint64_t>(values[k]) >> l_) + k);
   }
@@ -61,13 +62,6 @@ void EliasFanoList::Cursor::Next() {
   uint64_t cur = words[w] & (~uint64_t{0} << ((high_pos_ + 1) & 63));
   while (cur == 0) cur = words[++w];
   high_pos_ = (w << 6) + static_cast<size_t>(std::countr_zero(cur));
-}
-
-void EliasFanoList::Cursor::NextAtLeast(uint32_t v) {
-  if (AtEnd() || Value() >= v) return;
-  const size_t k = list_->LowerBoundFrom(k_ + 1, v);
-  k_ = k;
-  if (k_ < list_->m_) high_pos_ = list_->high_.Select1(k_);
 }
 
 void EliasFanoList::Decode(size_t k0, size_t k1, uint32_t* out) const {

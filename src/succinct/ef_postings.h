@@ -20,9 +20,10 @@ namespace xpe::succinct {
 /// verbatim to a packed array, and its high bits as a unary gap in a
 /// bitvector (bit (v >> l) + k set for the k-th value). Random access
 /// Get(k) is one Select1 + one packed read; LowerBound is a binary
-/// search over Get, so CountInRange(lo, hi) — the O(log n) subtree
-/// counting the dispatcher's kCount fast path rides on — is two binary
-/// searches and never touches more than O(log m) elements.
+/// search over Get, so PostingsView::CountInRange(lo, hi) — the
+/// O(log n) subtree counting the dispatcher's kCount fast path rides
+/// on — is two binary searches and never touches more than O(log m)
+/// elements.
 ///
 /// Immutable after construction; safe for concurrent reads.
 class EliasFanoList {
@@ -34,8 +35,6 @@ class EliasFanoList {
   EliasFanoList(std::span<const uint32_t> values, uint64_t universe);
 
   size_t size() const { return m_; }
-  bool empty() const { return m_ == 0; }
-  uint64_t universe() const { return u_; }
 
   /// The k-th value, 0-based (`k < size()`).
   uint32_t Get(size_t k) const;
@@ -44,38 +43,25 @@ class EliasFanoList {
   size_t LowerBound(uint32_t v) const { return LowerBoundFrom(0, v); }
   size_t LowerBoundFrom(size_t from, uint32_t v) const;
 
-  /// Number of values in [lo, hi) — the subtree-counting primitive.
-  uint64_t CountInRange(uint32_t lo, uint32_t hi) const {
-    return lo >= hi ? 0 : LowerBound(hi) - LowerBound(lo);
-  }
-
   /// Sequential decoder. One Select1 to open, then each step is a word
   /// walk over the high bits — O(1) amortized, no per-element select.
   class Cursor {
    public:
-    Cursor() = default;
+    /// Opens at value k (`k <= list->size()`; at size() it is spent).
     Cursor(const EliasFanoList* list, size_t k);
 
-    bool AtEnd() const { return k_ >= list_->m_; }
-    /// Index of the current value.
-    size_t pos() const { return k_; }
     uint32_t Value() const {
       return static_cast<uint32_t>(
           ((static_cast<uint64_t>(high_pos_) - k_) << list_->l_) |
           list_->Low(k_));
     }
     void Next();
-    /// Advances to the first value >= v at or after the current
-    /// position (no-op if already there). O(log m).
-    void NextAtLeast(uint32_t v);
 
    private:
-    const EliasFanoList* list_ = nullptr;
-    size_t k_ = 0;
+    const EliasFanoList* list_;
+    size_t k_;
     size_t high_pos_ = 0;  // position of the k_-th set high bit
   };
-
-  Cursor At(size_t k) const { return Cursor(this, k); }
 
   /// Copies values [k0, k1) into `out` (PostingsView::Decode on the
   /// dense tier, behind MINCONTEXT's SeedCandidates and
@@ -108,7 +94,6 @@ class EliasFanoList {
     return v & ((uint64_t{1} << l_) - 1);
   }
 
-  uint64_t u_ = 0;
   size_t m_ = 0;
   uint32_t l_ = 0;
   BitVector high_;

@@ -1,53 +1,27 @@
 #include "src/succinct/succinct_index.h"
 
+#include "src/index/document_index.h"
+
 namespace xpe::succinct {
 
-using xml::kNoString;
 using xml::NodeId;
-using xml::NodeKind;
 
-SuccinctDocumentIndex::SuccinctDocumentIndex(const xml::Document& doc)
-    : tree_(doc) {
+SuccinctDocumentIndex::SuccinctDocumentIndex(const xml::Document& doc) {
+  const index::DocumentIndex flat(doc);
   const NodeId n = doc.size();
   const uint32_t names = doc.name_count();
-
-  // Same preorder pass as the flat build, into transient flat postings;
-  // each list is Elias-Fano packed and the flat scratch freed as we go.
-  std::vector<std::vector<NodeId>> elems(names);
-  std::vector<std::vector<NodeId>> attrs(names);
-  std::vector<NodeId> all_elems;
-  std::vector<NodeId> all_attrs;
-  for (NodeId id = 0; id < n; ++id) {
-    const uint32_t name = doc.name_id(id);
-    switch (doc.kind(id)) {
-      case NodeKind::kElement:
-        all_elems.push_back(id);
-        if (name != kNoString) elems[name].push_back(id);
-        break;
-      case NodeKind::kAttribute:
-        all_attrs.push_back(id);
-        if (name != kNoString) attrs[name].push_back(id);
-        break;
-      default:
-        break;
-    }
-  }
-
   element_postings_.reserve(names);
   attribute_postings_.reserve(names);
   for (uint32_t name = 0; name < names; ++name) {
-    element_postings_.emplace_back(elems[name], n);
-    elems[name] = {};
-    attribute_postings_.emplace_back(attrs[name], n);
-    attrs[name] = {};
+    element_postings_.emplace_back(flat.ElementsNamed(name), n);
+    attribute_postings_.emplace_back(flat.AttributesNamed(name), n);
   }
-  elements_ = EliasFanoList(all_elems, n);
-  attributes_ = EliasFanoList(all_attrs, n);
+  elements_ = EliasFanoList(flat.all_elements(), n);
+  attributes_ = EliasFanoList(flat.all_attributes(), n);
 }
 
 size_t SuccinctDocumentIndex::MemoryUsageBytes() const {
-  size_t bytes = tree_.MemoryUsageBytes() + elements_.MemoryUsageBytes() +
-                 attributes_.MemoryUsageBytes();
+  size_t bytes = elements_.MemoryUsageBytes() + attributes_.MemoryUsageBytes();
   for (const EliasFanoList& postings : element_postings_) {
     bytes += sizeof(postings) + postings.MemoryUsageBytes();
   }

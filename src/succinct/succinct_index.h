@@ -5,24 +5,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/succinct/bp_tree.h"
 #include "src/succinct/ef_postings.h"
 #include "src/xml/document.h"
 
 namespace xpe::succinct {
 
-/// The dense index tier: what index::DocumentIndex answers, in a
+/// The dense index tier: the postings index::DocumentIndex holds, in a
 /// fraction of the space. Per-name element/attribute postings and the
-/// all-elements/all-attributes lists are Elias-Fano encoded; the
-/// per-node depth array is replaced by the balanced-parentheses tree
-/// (depth = paren excess). There are no kind bitmaps — those are an
-/// internal of the flat build; the kernel-facing surface
-/// (index::IndexView) never needed them.
+/// all-elements/all-attributes lists are Elias-Fano encoded; like the
+/// flat tier it stores no tree (the kernels navigate the Document's own
+/// node records).
 ///
-/// Build cost is one preorder pass plus transient flat postings (freed
-/// before the constructor returns). Immutable afterward; safe for
-/// concurrent reads, published by Document through a once_flag exactly
-/// like the flat index.
+/// The constructor packs a transient flat index::DocumentIndex, freed
+/// before it returns. Immutable afterward; safe for concurrent reads,
+/// published by Document through a once_flag exactly like the flat
+/// index.
 class SuccinctDocumentIndex {
  public:
   explicit SuccinctDocumentIndex(const xml::Document& doc);
@@ -42,18 +39,9 @@ class SuccinctDocumentIndex {
   const EliasFanoList& all_elements() const { return elements_; }
   const EliasFanoList& all_attributes() const { return attributes_; }
 
-  const BpTree& tree() const { return tree_; }
-  uint32_t depth(xml::NodeId id) const { return tree_.Depth(id); }
-
-  xml::NodeId size() const { return static_cast<xml::NodeId>(tree_.size()); }
-  uint32_t name_count() const {
-    return static_cast<uint32_t>(element_postings_.size());
-  }
-
   size_t MemoryUsageBytes() const;
 
  private:
-  BpTree tree_;
   std::vector<EliasFanoList> element_postings_;
   std::vector<EliasFanoList> attribute_postings_;
   EliasFanoList elements_;

@@ -96,15 +96,16 @@ class Document {
   /// search index).
   uint32_t name_count() const { return static_cast<uint32_t>(names_.size()); }
 
-  /// The per-document search index (per-name postings, depths, kind maps;
-  /// see src/index/document_index.h). Built lazily on first use in O(|D|),
-  /// guarded by a std::once_flag — concurrent callers all get the same
-  /// fully built index.
+  /// The per-document search index (per-name element and attribute
+  /// postings; see src/index/document_index.h). Built lazily on first
+  /// use in O(|D|), guarded by a std::once_flag — concurrent callers all
+  /// get the same fully built index.
   const index::DocumentIndex& index() const;
 
-  /// The compressed counterpart of index(): Elias-Fano postings plus a
-  /// balanced-parentheses tree (src/succinct/succinct_index.h), ~10% of
-  /// the flat index's bytes. Same lazy once_flag build discipline.
+  /// The compressed counterpart of index(): the same postings Elias-Fano
+  /// encoded (src/succinct/succinct_index.h), about an eighth of the
+  /// flat index's bytes on documents of 40k–54k nodes. Same lazy
+  /// once_flag build discipline.
   const succinct::SuccinctDocumentIndex& succinct_index() const;
 
   /// The tier-erased handle the step kernels evaluate against: wraps

@@ -371,6 +371,10 @@ TEST(SharedDocumentContentionTest, FirstTouchIndexBuildUnderContention) {
   for (int round = 0; round < 5; ++round) {
     const xml::Document doc =
         xml::MakeRandomDocument(60, {"a", "b", "c"}, 1000 + round);
+    size_t elements = 0;
+    for (xml::NodeId id = 0; id < doc.size(); ++id) {
+      elements += doc.IsElement(id);
+    }
     constexpr int kThreads = 8;
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
@@ -378,7 +382,7 @@ TEST(SharedDocumentContentionTest, FirstTouchIndexBuildUnderContention) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&] {
         const index::DocumentIndex& idx = doc.index();  // racing first touch
-        if (idx.size() != doc.size()) failures.fetch_add(1);
+        if (idx.all_elements().size() != elements) failures.fetch_add(1);
         if (doc.IdAxisForward(0).size() > doc.size()) failures.fetch_add(1);
         xpath::CompiledQuery q = MustCompile("//a[. = 100]/b");
         Evaluator session;

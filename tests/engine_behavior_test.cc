@@ -239,7 +239,9 @@ void ExpectPins(const xml::Document& doc, std::span<const StatsPin> pins) {
 // ⟨cp,cs⟩ loop of §3.1 charge: every counter, arena bytes included.
 // OPTMINCONTEXT's bottom-up comparisons π RelOp s test only the nodes
 // passing the node test of π's last step, so their backward pass starts
-// from that subset of Y and counts fewer contexts and visited nodes.
+// from that subset of Y and counts fewer contexts and visited nodes; the
+// seed itself is one indexed call of that step, visiting the postings it
+// decodes.
 TEST(CounterPinTest, AnalyticsFamilies) {
   const xml::Document doc = xml::MakeAuctionDocument(120, 1);
   constexpr StatsPin kPins[] = {
@@ -249,8 +251,8 @@ TEST(CounterPinTest, AnalyticsFamilies) {
        "arena_bytes_peak=95744 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
-       "contexts_evaluated=2050 axis_evals=2 indexed_steps=4 "
-       "nodes_visited=345 arena_bytes_peak=0 count_fast_path=0 "
+       "contexts_evaluated=2050 axis_evals=2 indexed_steps=5 "
+       "nodes_visited=443 arena_bytes_peak=0 count_fast_path=0 "
        "pruned_by_summary=0 budget_trips=0"},
       {"//person[city = 'Graz']/name",
        "cells_allocated=601 cells_live=361 cells_peak=361 "
@@ -258,8 +260,8 @@ TEST(CounterPinTest, AnalyticsFamilies) {
        "arena_bytes_peak=66560 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
-       "contexts_evaluated=1948 axis_evals=1 indexed_steps=3 "
-       "nodes_visited=221 arena_bytes_peak=0 count_fast_path=0 "
+       "contexts_evaluated=1948 axis_evals=1 indexed_steps=4 "
+       "nodes_visited=341 arena_bytes_peak=0 count_fast_path=0 "
        "pruned_by_summary=0 budget_trips=0"},
       {"id(//open_auction[current > 80]/itemref)/name",
        "cells_allocated=201 cells_live=121 cells_peak=121 "
@@ -267,8 +269,8 @@ TEST(CounterPinTest, AnalyticsFamilies) {
        "arena_bytes_peak=62976 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=1897 cells_live=1897 cells_peak=1897 "
-       "contexts_evaluated=1938 axis_evals=2 indexed_steps=4 "
-       "nodes_visited=121 arena_bytes_peak=0 count_fast_path=0 "
+       "contexts_evaluated=1938 axis_evals=2 indexed_steps=5 "
+       "nodes_visited=161 arena_bytes_peak=0 count_fast_path=0 "
        "pruned_by_summary=0 budget_trips=0"},
       {"//personref/ancestor::open_auction",
        "cells_allocated=0 cells_live=0 cells_peak=0 contexts_evaluated=99 "
@@ -334,7 +336,7 @@ TEST(CounterPinTest, RunningExample) {
        "arena_bytes_peak=5312 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0",
        "cells_allocated=100 cells_live=100 cells_peak=100 "
-       "contexts_evaluated=606 axis_evals=1 indexed_steps=3 nodes_visited=127 "
+       "contexts_evaluated=606 axis_evals=1 indexed_steps=4 nodes_visited=164 "
        "arena_bytes_peak=0 count_fast_path=0 pruned_by_summary=0 "
        "budget_trips=0"},
   };
@@ -391,6 +393,57 @@ TEST(IdStepAccountingTest, IdStepsAreScannedKernelSteps) {
         EXPECT_GT(row->calls, 0u) << cell.label;
         EXPECT_EQ(row->scanned_calls, row->calls) << cell.label;
       }
+    }
+  }
+}
+
+// --- Comparison seeds --------------------------------------------------------
+
+/// The location step of `plan` whose node test names `name`.
+xpath::AstId StepNamed(const xpath::CompiledQuery& plan,
+                       std::string_view name) {
+  const xpath::QueryTree& tree = plan.tree();
+  for (xpath::AstId id = 0; id < tree.size(); ++id) {
+    const xpath::AstNode& n = tree.node(id);
+    if (n.kind == xpath::ExprKind::kStep && n.test.name == name) return id;
+  }
+  return xpath::kInvalidAstId;
+}
+
+// OPTMINCONTEXT seeds a bottom-up comparison π RelOp s by testing the
+// nodes that pass the node test of π's last step: a scan of all |D|
+// nodes with the index off, a postings decode with it on. That work is
+// charged as a kernel call of the step, so it shows in the step's
+// profiler row, and the rows still sum to nodes_visited.
+TEST(SeedAccountingTest, ComparisonSeedIsChargedToTheLastStep) {
+  const xml::Document doc = xml::MakeAuctionDocument(120, 1);
+  const char* query = "//person[city = 'Graz']/name";
+  const xpath::CompiledQuery plan = MustCompile(query);
+  const xpath::AstId city = StepNamed(plan, "city");
+  ASSERT_NE(city, xpath::kInvalidAstId);
+  for (const test::IndexConfig& index : test::kIndexConfigs) {
+    test::Cell cell = test::MakeCell(query, EngineKind::kOptMinContext, index);
+    EvalStats stats;
+    obs::QueryProfile profile;
+    cell.options.stats = &stats;
+    cell.options.profile = &profile;
+    ASSERT_TRUE(Evaluate(plan, doc, EvalContext{}, cell.options).ok())
+        << cell.label;
+    EXPECT_EQ(profile.nodes_visited_total(), stats.nodes_visited) << cell.label;
+    const std::vector<obs::QueryProfile::Step>& rows = profile.steps();
+    const auto row = std::find_if(rows.begin(), rows.end(),
+                                  [&](const obs::QueryProfile::Step& step) {
+                                    return step.ast_id == city;
+                                  });
+    if (row == rows.end()) {
+      ADD_FAILURE() << "no profiler row for the city step: " << cell.label;
+      continue;
+    }
+    if (index.use_index) {
+      EXPECT_GE(row->indexed_calls, 1u) << cell.label;
+    } else {
+      EXPECT_GE(row->nodes_visited, static_cast<uint64_t>(doc.size()))
+          << cell.label;
     }
   }
 }

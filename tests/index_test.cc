@@ -1,10 +1,11 @@
 // Unit tests for the src/index subsystem: DocumentIndex construction
-// (postings, depths, kind maps), the indexed step kernels' equivalence
+// (per-name and `*` postings), the indexed step kernels' equivalence
 // with the scan path they replace, the compile-time eligibility
 // annotation, and the thread-safety of Document's lazy caches.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -35,12 +36,9 @@ NodeTest NameTest(std::string name) {
 
 NodeTest AnyTest() { return NodeTest(); }  // kAny is the default
 
-TEST(DocumentIndexTest, PostingsDepthsAndKindMapsOnPaperDocument) {
+TEST(DocumentIndexTest, PostingsOnPaperDocument) {
   xml::Document doc = xml::MakePaperDocument();
   const DocumentIndex& idx = doc.index();
-
-  ASSERT_EQ(idx.size(), doc.size());
-  EXPECT_EQ(idx.name_count(), doc.name_count());
 
   // Postings partition the elements by tag, in document order.
   size_t named_total = 0;
@@ -62,22 +60,6 @@ TEST(DocumentIndexTest, PostingsDepthsAndKindMapsOnPaperDocument) {
   EXPECT_EQ(ids.size(), idx.all_elements().size());
   EXPECT_EQ(ids.size(), idx.all_attributes().size());
 
-  // Depths: root 0, children of an element one deeper, attributes hang
-  // below their owner.
-  EXPECT_EQ(idx.depth(doc.root()), 0u);
-  for (NodeId id = 1; id < doc.size(); ++id) {
-    EXPECT_EQ(idx.depth(id), idx.depth(doc.parent(id)) + 1) << id;
-  }
-
-  // Kind maps agree with the node records and count exactly.
-  uint64_t elements = 0;
-  for (NodeId id = 0; id < doc.size(); ++id) {
-    EXPECT_EQ(idx.kind_map(doc.kind(id)).Test(id), true);
-    elements += doc.IsElement(id);
-  }
-  EXPECT_EQ(idx.kind_map(NodeKind::kElement).count(), elements);
-  EXPECT_EQ(idx.kind_map(NodeKind::kRoot).count(), 1u);
-
   EXPECT_GT(idx.MemoryUsageBytes(), 0u);
 }
 
@@ -86,11 +68,35 @@ TEST(DocumentIndexTest, UnknownAndUnnamedLookupsAreEmpty) {
   const DocumentIndex& idx = doc.index();
   EXPECT_TRUE(idx.ElementsNamed(doc.LookupNameId("nosuch")).empty());
   EXPECT_TRUE(idx.AttributesNamed(doc.LookupNameId("a")).empty());
-  // Text/comment/PI nodes appear in kind maps but in no postings.
-  EXPECT_EQ(idx.kind_map(NodeKind::kText).count(), 1u);
-  EXPECT_EQ(idx.kind_map(NodeKind::kComment).count(), 1u);
-  EXPECT_EQ(idx.kind_map(NodeKind::kProcessingInstruction).count(), 1u);
+  // The PI target is an interned name that no element or attribute
+  // carries.
+  const uint32_t pi_target = doc.LookupNameId("p");
+  ASSERT_NE(pi_target, xml::kNoString);
+  EXPECT_TRUE(idx.ElementsNamed(pi_target).empty());
+  EXPECT_TRUE(idx.AttributesNamed(pi_target).empty());
   EXPECT_EQ(idx.all_elements().size(), 2u);
+
+  // The text, comment and PI nodes appear in no postings list.
+  std::vector<NodeId> indexed = idx.all_elements();
+  indexed.insert(indexed.end(), idx.all_attributes().begin(),
+                 idx.all_attributes().end());
+  for (uint32_t name = 0; name < doc.name_count(); ++name) {
+    for (const std::vector<NodeId>* postings :
+         {&idx.ElementsNamed(name), &idx.AttributesNamed(name)}) {
+      indexed.insert(indexed.end(), postings->begin(), postings->end());
+    }
+  }
+  int unindexed_nodes = 0;
+  for (NodeId id = 0; id < doc.size(); ++id) {
+    const NodeKind kind = doc.kind(id);
+    if (kind != NodeKind::kText && kind != NodeKind::kComment &&
+        kind != NodeKind::kProcessingInstruction) {
+      continue;
+    }
+    ++unindexed_nodes;
+    EXPECT_EQ(std::count(indexed.begin(), indexed.end(), id), 0) << id;
+  }
+  EXPECT_EQ(unindexed_nodes, 3);
 }
 
 /// Every eligible (axis, test) pair, evaluated from assorted origin sets

@@ -7,8 +7,9 @@
 //    shapes run inline on the caller, nested Run calls run inline
 //    (InParallelRegion), the shared pool is a process-wide singleton;
 //  - the parallel differential: one corpus over all six engines × index
-//    configs × all five result modes × worker counts 1/2/4/8, holding
-//    the Value AND the EvalStats rendering equal to a parallel-off run —
+//    configs × all five result modes × worker counts (1/2/4/8 on the
+//    scan config, 4 on the indexed ones), holding the Value AND the
+//    EvalStats rendering equal to a parallel-off run —
 //    parallelism may only ever change wall-clock, never answers or
 //    accounting;
 //  - composition: Exists still short-circuits with parallel options
@@ -185,6 +186,16 @@ struct ParallelDiffCase {
   test::IndexConfig index;
 };
 
+/// The partition widths each case compares against sequential. Indexed
+/// steps never partition, so the indexed configs only need one width to
+/// cover the scans they still take; the scan config sweeps them all.
+std::span<const uint32_t> WorkerCounts(const test::IndexConfig& index) {
+  static constexpr uint32_t kAll[] = {1, 2, 4, 8};
+  static constexpr uint32_t kFour[] = {4};
+  return index.use_index ? std::span<const uint32_t>(kFour)
+                         : std::span<const uint32_t>(kAll);
+}
+
 /// Every engine on every index config, except the naive engine, which
 /// ignores the index and runs once.
 std::vector<ParallelDiffCase> ParallelDiffCases() {
@@ -235,7 +246,7 @@ void ExpectParallelMatchesSequential(const xml::Document& doc,
       StatusOr<Value> want = Evaluate(plan, doc, {}, opts);
       ASSERT_TRUE(want.ok()) << cell.label << ": " << want.status().ToString();
 
-      for (uint32_t workers : {1u, 2u, 4u, 8u}) {
+      for (uint32_t workers : WorkerCounts(c.index)) {
         const std::string label =
             cell.label + " workers " + std::to_string(workers);
         EvalStats got_stats;
